@@ -24,7 +24,9 @@
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
+#include "tests/gemm_reference.h"
 #include "util/crc32.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -44,6 +46,51 @@ void BM_MatmulNT(benchmark::State& state) {
                           static_cast<int64_t>(n * n * n));
 }
 BENCHMARK(BM_MatmulNT)->Arg(64)->Arg(128)->Arg(256);
+
+/// The model's forward GEMM shapes, C[m,n] += X[m,k] * W[n,k]^T: the
+/// attention projections (64x64), FFN up (128x64) and down (64x128), and the
+/// tied vocabulary head (3100x64), at one decode row and at a batch of 8.
+/// BM_GemmNT runs the kernel, BM_GemmNTReference the scalar loops it
+/// replaced; scripts/check_build.sh gates their ratio at pool width 1.
+template <bool kReference>
+void GemmNTShape(benchmark::State& state) {
+  size_t m = static_cast<size_t>(state.range(0));
+  size_t n = static_cast<size_t>(state.range(1));
+  size_t k = static_cast<size_t>(state.range(2));
+  util::Rng rng(7);
+  Tensor x = Tensor::Randn({m, k}, &rng);
+  Tensor w = Tensor::Randn({n, k}, &rng);
+  std::vector<float> c(m * n, 0.0f);
+  for (auto _ : state) {
+    if (kReference) {
+      testing::GemmNTAcc(x.data(), w.data(), c.data(), m, k, n);
+    } else {
+      GemmNT(x.data(), w.data(), c.data(), m, k, n);
+    }
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(m * n * k));
+}
+
+void GemmShapes(benchmark::internal::Benchmark* bench) {
+  bench->ArgNames({"m", "n", "k"});
+  const int64_t shapes[][2] = {{64, 64}, {128, 64}, {64, 128}, {3100, 64}};
+  for (int64_t m : {1, 8}) {
+    for (const auto& shape : shapes) bench->Args({m, shape[0], shape[1]});
+  }
+}
+
+void BM_GemmNT(benchmark::State& state) {
+  GemmNTShape<false>(state);
+}
+BENCHMARK(BM_GemmNT)->Apply(GemmShapes);
+
+void BM_GemmNTReference(benchmark::State& state) {
+  GemmNTShape<true>(state);
+}
+BENCHMARK(BM_GemmNTReference)->Apply(GemmShapes);
 
 void BM_Softmax(benchmark::State& state) {
   util::Rng rng(2);

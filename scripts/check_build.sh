@@ -10,6 +10,11 @@
 # 3. Runs the cached-vs-uncached decode comparison (--decode_compare) and
 #    asserts the KV-cache engine delivers at least a 3x decode speedup at
 #    max_seq_len, with the numbers recorded in the manifest.
+# 3b. GEMM floors: runs bench_micro_tensor's BM_GemmNT shapes (the model's
+#    projections and vocabulary head at m = 1 and m = 8) from the Release
+#    tree at pool width 1, three times, against the scalar reference loops.
+#    Taking each benchmark's best time, the kernel must be at least 2x the
+#    reference at m = 8 and no slower than it at m = 1.
 # 4. Builds the durability tests under ASan+UBSan and runs them, so the
 #    corruption-fuzz and fault-injection paths are exercised with memory
 #    and UB checking on.
@@ -30,7 +35,8 @@
 # 8. Builds the ThreadSanitizer preset and runs the concurrency gate
 #    (race_stress_test plus the threadpool / kv-cache / obs / exporter /
 #    serve suites, including the chaos soak and the batched-decode
-#    bit-exactness suite) with fail-fast TSAN_OPTIONS — zero reports
+#    bit-exactness suite, and the GEMM kernel's pool-width test) with
+#    fail-fast TSAN_OPTIONS — zero reports
 #    allowed (tsan.supp is reserved for documented third-party noise; see
 #    DESIGN.md §9).
 # 9. Builds the whole tree under the Clang Thread Safety Analysis
@@ -114,6 +120,43 @@ grep -q '"engine/bench_decode_speedup"' "$DECODE_METRICS" || {
   exit 1
 }
 echo "decode speedup OK: ${SPEEDUP}x (>= 3x)"
+
+echo "== GEMM floors: kernel vs scalar reference (${BUILD_DIR}) =="
+GEMM_JSON="${TMPDIR:-/tmp}/check_build_gemm"
+for attempt in 1 2 3; do
+  INFUSERKI_NUM_THREADS=1 "$BUILD_DIR/bench/bench_micro_tensor" \
+    --benchmark_filter='^BM_GemmNT' \
+    --benchmark_min_time=0.05 \
+    --benchmark_format=json > "${GEMM_JSON}_${attempt}.json"
+done
+python3 - "${GEMM_JSON}_1.json" "${GEMM_JSON}_2.json" \
+  "${GEMM_JSON}_3.json" <<'EOF'
+import json, sys
+# Best (lowest) time per benchmark over the runs, then kernel vs reference
+# per shape: BM_GemmNT/m:M/n:N/k:K against BM_GemmNTReference/m:M/n:N/k:K.
+best = {}
+for path in sys.argv[1:]:
+    with open(path) as f:
+        for bench in json.load(f)["benchmarks"]:
+            name = bench["name"]
+            best[name] = min(best.get(name, float("inf")), bench["real_time"])
+shapes = sorted(n[len("BM_GemmNT/"):] for n in best
+                if n.startswith("BM_GemmNT/"))
+assert shapes, "no BM_GemmNT results"
+failures = []
+for shape in shapes:
+    kernel = best["BM_GemmNT/" + shape]
+    reference = best["BM_GemmNTReference/" + shape]
+    speedup = reference / kernel
+    floor = 2.0 if shape.startswith("m:8/") else 1.0
+    print(f"gemm {shape}: kernel={kernel:.0f}ns reference={reference:.0f}ns "
+          f"speedup={speedup:.2f}x (floor {floor:.0f}x)")
+    if speedup < floor:
+        failures.append(shape)
+if failures:
+    sys.exit("FAIL: GEMM kernel below its floor on " + ", ".join(failures))
+EOF
+echo "GEMM floors OK"
 
 echo "== durability: ASan+UBSan serialize/checkpoint/fault tests =="
 ASAN_DIR="${BUILD_DIR}-asan"
@@ -263,11 +306,11 @@ cmake -B "$TSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "$TSAN_DIR" -j --target \
   race_stress_test threadpool_test kv_cache_test obs_test \
   obs_exporter_test serve_test serve_chaos_test batched_decode_test \
-  adapter_registry_test admission_test
+  adapter_registry_test admission_test gemm_kernel_test
 for tsan_test in race_stress_test threadpool_test kv_cache_test obs_test \
                  obs_exporter_test serve_test serve_chaos_test \
                  batched_decode_test adapter_registry_test \
-                 admission_test; do
+                 admission_test gemm_kernel_test; do
   TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1:suppressions=$(pwd)/tsan.supp" \
     "$TSAN_DIR/tests/$tsan_test"
 done

@@ -184,6 +184,13 @@ obs::Counter* ShedReasonCounter(ServeMetrics& metrics, ShedReason reason) {
   return metrics.shed_queue_full;  // unreachable; keeps the switch total
 }
 
+/// Response token ids at exact capacity. Clients may keep every Response,
+/// so the decode buffer's growth slack would otherwise stay resident per
+/// request.
+std::vector<int> ExactCopy(const std::vector<int>& ids) {
+  return std::vector<int>(ids.begin(), ids.end());
+}
+
 }  // namespace
 
 util::Status ValidateServeOptions(const ServeOptions& options) {
@@ -919,7 +926,7 @@ void InferenceServer::SchedulerLoop() {
       }
       if (Expired(f)) {
         park(&f);
-        f.response.tokens = std::move(f.generated);
+        f.response.tokens = ExactCopy(f.generated);
         Deliver(&f, util::Status::DeadlineExceeded(
                         "deadline expired after " +
                         std::to_string(f.response.tokens.size()) +
@@ -940,7 +947,7 @@ void InferenceServer::SchedulerLoop() {
       int next = ArgmaxRow(f.next_row.data(), vocab);
       if (next == text::kEosId) {
         park(&f);
-        f.response.tokens = std::move(f.generated);
+        f.response.tokens = ExactCopy(f.generated);
         util::StatusOr<std::string> text =
             tokenizer_.Decode(f.response.tokens);
         if (!text.ok()) {
@@ -959,7 +966,7 @@ void InferenceServer::SchedulerLoop() {
       if (f.generated.size() >= f.max_new ||
           f.prompt_ids.size() + f.generated.size() >= max_seq) {
         park(&f);
-        f.response.tokens = std::move(f.generated);
+        f.response.tokens = ExactCopy(f.generated);
         util::StatusOr<std::string> text =
             tokenizer_.Decode(f.response.tokens);
         if (!text.ok()) {
@@ -1150,7 +1157,7 @@ void InferenceServer::RunDegraded(Flight* f) {
       return;
     }
     if (Expired(*f)) {
-      f->response.tokens = std::move(f->generated);
+      f->response.tokens = ExactCopy(f->generated);
       Deliver(f, util::Status::DeadlineExceeded(
                      "deadline expired after " +
                      std::to_string(f->response.tokens.size()) +
@@ -1168,7 +1175,7 @@ void InferenceServer::RunDegraded(Flight* f) {
     f->job->trace.Phase("decode_step", step_begin_us, f->last_token_us);
     step_begin_us = f->last_token_us;
   }
-  f->response.tokens = std::move(f->generated);
+  f->response.tokens = ExactCopy(f->generated);
   util::StatusOr<std::string> text = tokenizer_.Decode(f->response.tokens);
   if (!text.ok()) {
     Deliver(f, text.status());

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "obs/metrics.h"
+#include "tensor/gemm.h"
 #include "util/threadpool.h"
 
 namespace infuserki::tensor {
@@ -12,24 +13,14 @@ namespace {
 
 using internal::TensorImpl;
 
-constexpr size_t kParallelGrain = 8;
-
-// GEMMs below this many multiply-adds run inline: thread-pool dispatch
-// (schedule + wait) costs more than the arithmetic itself. Partitioning
-// only splits output rows across threads — each element's accumulation
-// order is unchanged — so the inline/parallel choice never changes results.
-constexpr size_t kGemmParallelMinWork = 1 << 15;
-
-size_t GemmRowGrain(size_t m, size_t k, size_t n) {
-  return (m * k * n < kGemmParallelMinWork) ? m : kParallelGrain;
-}
+// Ragged attention batches below this many multiply-adds run inline:
+// thread-pool dispatch (schedule + wait) costs more than the arithmetic.
+constexpr size_t kAttentionParallelMinWork = 1 << 15;
 
 /// Op counters for the hot kernels, resolved once per process. Each kernel
 /// call costs two relaxed atomic adds — noise next to the O(m*k*n) work.
 struct OpMetrics {
   obs::Counter* matmul_ops;      // forward Matmul/MatmulNT calls
-  obs::Counter* gemm_calls;      // every GEMM kernel (incl. backward)
-  obs::Counter* gemm_flops;      // 2*m*k*n per GEMM kernel call
   obs::Counter* softmax_ops;
   obs::Counter* softmax_rows;
   obs::Counter* attention_ops;   // forward CausalSelfAttention calls
@@ -40,20 +31,12 @@ OpMetrics& Metrics() {
   static OpMetrics* metrics = [] {
     obs::Registry& registry = obs::Registry::Get();
     return new OpMetrics{registry.GetCounter("tensor/matmul_ops"),
-                         registry.GetCounter("tensor/gemm_calls"),
-                         registry.GetCounter("tensor/gemm_flops"),
                          registry.GetCounter("tensor/softmax_ops"),
                          registry.GetCounter("tensor/softmax_rows"),
                          registry.GetCounter("tensor/attention_ops"),
                          registry.GetCounter("tensor/attention_flops")};
   }();
   return *metrics;
-}
-
-void CountGemm(size_t m, size_t k, size_t n) {
-  OpMetrics& metrics = Metrics();
-  metrics.gemm_calls->Increment();
-  metrics.gemm_flops->Increment(2 * m * k * n);
 }
 
 // Returns true when `b` broadcasts against `a` as a suffix shape.
@@ -75,60 +58,6 @@ BroadcastKind CheckBroadcast(const Tensor& a, const Tensor& b,
       << op_name << ": incompatible shapes " << ShapeToString(a.shape())
       << " vs " << ShapeToString(b.shape());
   return BroadcastKind::kSuffix;
-}
-
-// C[m,n] += A[m,k] * B[k,n]
-void GemmAcc(const float* a, const float* b, float* c, size_t m, size_t k,
-             size_t n) {
-  CountGemm(m, k, n);
-  util::ParallelFor(m, GemmRowGrain(m, k, n), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      float* c_row = c + i * n;
-      const float* a_row = a + i * k;
-      for (size_t p = 0; p < k; ++p) {
-        float av = a_row[p];
-        if (av == 0.0f) continue;
-        const float* b_row = b + p * n;
-        for (size_t j = 0; j < n; ++j) c_row[j] += av * b_row[j];
-      }
-    }
-  });
-}
-
-// C[m,n] += A[m,k] * B[n,k]^T
-void GemmNTAcc(const float* a, const float* b, float* c, size_t m, size_t k,
-               size_t n) {
-  CountGemm(m, k, n);
-  util::ParallelFor(m, GemmRowGrain(m, k, n), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const float* a_row = a + i * k;
-      float* c_row = c + i * n;
-      for (size_t j = 0; j < n; ++j) {
-        const float* b_row = b + j * k;
-        float acc = 0.0f;
-        for (size_t p = 0; p < k; ++p) acc += a_row[p] * b_row[p];
-        c_row[j] += acc;
-      }
-    }
-  });
-}
-
-// C[k,n] += A[m,k]^T * B[m,n]
-void GemmTNAcc(const float* a, const float* b, float* c, size_t m, size_t k,
-               size_t n) {
-  CountGemm(m, k, n);
-  util::ParallelFor(k, (m * k * n < kGemmParallelMinWork) ? k : kParallelGrain,
-                    [&](size_t begin, size_t end) {
-    for (size_t p = begin; p < end; ++p) {
-      float* c_row = c + p * n;
-      for (size_t i = 0; i < m; ++i) {
-        float av = a[i * k + p];
-        if (av == 0.0f) continue;
-        const float* b_row = b + i * n;
-        for (size_t j = 0; j < n; ++j) c_row[j] += av * b_row[j];
-      }
-    }
-  });
 }
 
 // Elementwise unary op with pointwise derivative computed from saved
@@ -277,17 +206,17 @@ Tensor Matmul(const Tensor& a, const Tensor& b) {
   size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   Metrics().matmul_ops->Increment();
   std::vector<float> out(m * n, 0.0f);
-  GemmAcc(a.data(), b.data(), out.data(), m, k, n);
+  GemmNN(a.data(), b.data(), out.data(), m, k, n);
   return Tensor::MakeOpResult(
       {m, n}, std::move(out), {a, b}, [a, b, m, k, n](TensorImpl* result) {
         result->backward_fn = [a, b, m, k, n, result]() {
           const float* g = result->grad.data();
           // dA = dC * B^T ; dB = A^T * dC
           if (a.requires_grad()) {
-            GemmNTAcc(g, b.data(), a.impl()->MutableGrad(), m, n, k);
+            GemmNT(g, b.data(), a.impl()->MutableGrad(), m, n, k);
           }
           if (b.requires_grad()) {
-            GemmTNAcc(a.data(), g, b.impl()->MutableGrad(), m, k, n);
+            GemmTN(a.data(), g, b.impl()->MutableGrad(), m, k, n);
           }
         };
       });
@@ -301,17 +230,17 @@ Tensor MatmulNT(const Tensor& a, const Tensor& b) {
   size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
   Metrics().matmul_ops->Increment();
   std::vector<float> out(m * n, 0.0f);
-  GemmNTAcc(a.data(), b.data(), out.data(), m, k, n);
+  GemmNT(a.data(), b.data(), out.data(), m, k, n);
   return Tensor::MakeOpResult(
       {m, n}, std::move(out), {a, b}, [a, b, m, k, n](TensorImpl* result) {
         result->backward_fn = [a, b, m, k, n, result]() {
           const float* g = result->grad.data();
           // C = A B^T : dA = dC * B ; dB = dC^T * A
           if (a.requires_grad()) {
-            GemmAcc(g, b.data(), a.impl()->MutableGrad(), m, n, k);
+            GemmNN(g, b.data(), a.impl()->MutableGrad(), m, n, k);
           }
           if (b.requires_grad()) {
-            GemmTNAcc(g, a.data(), b.impl()->MutableGrad(), m, n, k);
+            GemmTN(g, a.data(), b.impl()->MutableGrad(), m, n, k);
           }
         };
       });
@@ -1041,7 +970,7 @@ Tensor CausalSelfAttentionRagged(const Tensor& q,
   for (size_t r = 0; r < row_lens.size(); ++r) {
     total_work += 4 * row_lens[r] * keys[r].dim(0) * d;
   }
-  if (row_lens.size() == 1 || total_work < kGemmParallelMinWork) {
+  if (row_lens.size() == 1 || total_work < kAttentionParallelMinWork) {
     for (size_t r = 0; r < row_lens.size(); ++r) attend_row(r);
   } else {
     util::ParallelForEach(row_lens.size(), attend_row);

@@ -85,7 +85,10 @@ std::vector<int> Tokenizer::EncodeWithSpecials(std::string_view text,
 
 util::StatusOr<std::string> Tokenizer::Decode(
     const std::vector<int>& ids) const {
-  std::vector<std::string> words;
+  // Pass 1 validates the ids and sizes the text; pass 2 fills it, so the
+  // result is one exact-size allocation with no per-word copies.
+  size_t length = 0;
+  size_t words = 0;
   for (size_t i = 0; i < ids.size(); ++i) {
     int id = ids[i];
     if (id == kPadId || id == kBosId || id == kEosId) continue;
@@ -95,9 +98,19 @@ util::StatusOr<std::string> Tokenizer::Decode(
           std::to_string(i) + " outside vocabulary of " +
           std::to_string(id_to_word_.size()));
     }
-    words.push_back(id_to_word_[static_cast<size_t>(id)]);
+    length += id_to_word_[static_cast<size_t>(id)].size();
+    ++words;
   }
-  return util::Join(words, " ");
+  std::string text;
+  text.reserve(length + (words > 0 ? words - 1 : 0));
+  bool first = true;
+  for (int id : ids) {
+    if (id == kPadId || id == kBosId || id == kEosId) continue;
+    if (!first) text.push_back(' ');
+    first = false;
+    text.append(id_to_word_[static_cast<size_t>(id)]);
+  }
+  return text;
 }
 
 int Tokenizer::WordId(const std::string& word) const {

@@ -21,7 +21,10 @@ std::vector<std::string> Split(std::string_view text,
 
 std::string Join(const std::vector<std::string>& pieces,
                  std::string_view sep) {
+  size_t length = pieces.empty() ? 0 : (pieces.size() - 1) * sep.size();
+  for (const std::string& piece : pieces) length += piece.size();
   std::string out;
+  out.reserve(length);
   for (size_t i = 0; i < pieces.size(); ++i) {
     if (i > 0) out.append(sep);
     out.append(pieces[i]);

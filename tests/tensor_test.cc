@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -101,6 +105,27 @@ TEST(Ops, MatmulNTMatchesMatmulTranspose) {
   for (size_t i = 0; i < nt.size(); ++i) {
     EXPECT_NEAR(nt.data()[i], reference.data()[i], 1e-5f);
   }
+}
+
+TEST(Ops, MatmulAndMatmulNTAgreeOnNonFinite) {
+  // Zeros in `a` meeting Inf in `b`: 0 * Inf is NaN on every GEMM layout,
+  // so Matmul and MatmulNT give the same bits (no zero-multiplier skip).
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> a_values = {0, 1, 2, 0, 0, 0, 0, 0, 1, 2, 3, 4};
+  std::vector<float> b_values = {inf, 1, 0, 1, 2, 3, 0, 1, -inf, 1, 1, 1};
+  Tensor a = Tensor::FromData({3, 4}, a_values);
+  Tensor b = Tensor::FromData({4, 3}, b_values);
+  Tensor nn = Matmul(a, b);
+  Tensor nt = MatmulNT(a, Transpose(b));
+  ASSERT_EQ(nn.shape(), nt.shape());
+  EXPECT_EQ(std::memcmp(nn.data(), nt.data(), nn.size() * sizeof(float)), 0);
+  EXPECT_TRUE(std::isnan(nn.at(0, 0)));  // 0 * inf
+  EXPECT_TRUE(std::isnan(nn.at(1, 0)));  // an all-zero row still meets inf
+  EXPECT_TRUE(std::isnan(nn.at(1, 2)));
+  EXPECT_FLOAT_EQ(nn.at(0, 1), 4.0f);
+  EXPECT_FLOAT_EQ(nn.at(1, 1), 0.0f);
+  EXPECT_EQ(nn.at(2, 0), inf);
+  EXPECT_EQ(nn.at(2, 2), -inf);
 }
 
 TEST(Ops, SoftmaxRowsSumToOne) {

@@ -66,6 +66,24 @@ TEST(Tokenizer, DecodeRejectsOutOfRangeIdsWithoutAborting) {
   EXPECT_EQ(tokenizer.Decode({4}).value(), tokenizer.IdToWord(4));
 }
 
+TEST(Tokenizer, DecodeTextIsPinned) {
+  Tokenizer tokenizer = Tokenizer::Build({"alpha beta gamma"});
+  ASSERT_EQ(tokenizer.WordId("alpha"), 4);
+  ASSERT_EQ(tokenizer.WordId("gamma"), 6);
+  EXPECT_EQ(tokenizer.Decode({}).value(), "");
+  EXPECT_EQ(tokenizer.Decode({kPadId, kBosId, kEosId}).value(), "");
+  EXPECT_EQ(tokenizer.Decode({4}).value(), "alpha");
+  // <pad>/<bos>/<eos> are skipped wherever they sit; <unk> is a word.
+  std::vector<int> ids = {kBosId, 4, kPadId, 6, kUnkId, 5, 5, kEosId};
+  EXPECT_EQ(tokenizer.Decode(ids).value(), "alpha gamma <unk> beta beta");
+  EXPECT_EQ(tokenizer.Decode({kEosId, kUnkId}).value(), "<unk>");
+
+  util::StatusOr<std::string> bad = tokenizer.Decode({kBosId, 4, 7, kEosId});
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().message(),
+            "token id 7 at position 2 outside vocabulary of 7");
+}
+
 TEST(Tokenizer, IdToWordIsTotal) {
   Tokenizer tokenizer = Tokenizer::Build({"alpha beta"});
   EXPECT_EQ(tokenizer.IdToWord(-1), "<unk>");
