@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "model/decode_session.h"
+#include "model/batched_session.h"
 #include "model/pretrain.h"
 #include "model/transformer.h"
 #include "obs/exporter.h"
@@ -165,11 +165,12 @@ void BM_LmDecodeCached(benchmark::State& state) {
   size_t target = static_cast<size_t>(state.range(0));
   NoGradGuard no_grad;
   for (auto _ : state) {
-    model::DecodeSession session(lm);
+    model::BatchedDecodeSession session(lm, 1);
+    size_t slot = session.AcquireSlot();
     std::vector<int> prompt(8, 5);
-    benchmark::DoNotOptimize(session.Prefill(prompt));
+    benchmark::DoNotOptimize(session.Step({{slot, prompt}}));
     for (size_t t = prompt.size(); t < target; ++t) {
-      benchmark::DoNotOptimize(session.Decode(5));
+      benchmark::DoNotOptimize(session.Step({{slot, {5}}}));
     }
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -212,9 +213,10 @@ void RunDecodeCompare() {
   // Warm both paths once (thread pool spin-up, allocator warm-up).
   benchmark::DoNotOptimize(lm.Logits(prompt));
   {
-    model::DecodeSession warm(lm);
-    benchmark::DoNotOptimize(warm.Prefill(prompt));
-    benchmark::DoNotOptimize(warm.Decode(5));
+    model::BatchedDecodeSession warm(lm, 1);
+    size_t slot = warm.AcquireSlot();
+    benchmark::DoNotOptimize(warm.Step({{slot, prompt}}));
+    benchmark::DoNotOptimize(warm.Step({{slot, {5}}}));
   }
 
   // Pre-engine path: one full-sequence forward per generated token.
@@ -233,12 +235,13 @@ void RunDecodeCompare() {
   double cached_seconds;
   double prefill_seconds;
   {
-    model::DecodeSession session(lm);
+    model::BatchedDecodeSession session(lm, 1);
+    size_t slot = session.AcquireSlot();
     util::Stopwatch watch;
-    benchmark::DoNotOptimize(session.Prefill(prompt));
+    benchmark::DoNotOptimize(session.Step({{slot, prompt}}));
     prefill_seconds = watch.ElapsedSeconds();
     for (size_t t = prompt_len; t < target; ++t) {
-      benchmark::DoNotOptimize(session.Decode(5));
+      benchmark::DoNotOptimize(session.Step({{slot, {5}}}));
     }
     cached_seconds = watch.ElapsedSeconds();
   }

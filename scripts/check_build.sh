@@ -32,6 +32,11 @@
 #    continuous-batching scheduler at batch 8 must deliver at least 2x the
 #    sequential (batch 1) request throughput on the small bench model.
 #    Best of three runs — a single-core shared box is noisy.
+# 7b. Builds the repository benchmark (the perfbench/ CMake project, which
+#    compiles src/ on its own) into .bench_build/, runs its perfbench_test
+#    unit suite, and runs a 5-second paper_pipeline smoke through
+#    perfbench/run.py that must report "correct": true (every workload
+#    gate passed).
 # 8. Builds the ThreadSanitizer preset and runs the concurrency gate
 #    (race_stress_test plus the threadpool / kv-cache / obs / exporter /
 #    serve suites, including the chaos soak and the batched-decode
@@ -298,6 +303,25 @@ awk "BEGIN { exit !($BATCH_SPEEDUP >= 2.0) }" || {
   exit 1
 }
 echo "batched throughput OK: ${BATCH_SPEEDUP}x at batch 8 (>= 2x)"
+
+echo "== perfbench: build + unit test + paper_pipeline smoke =="
+cmake -S perfbench -B .bench_build -DCMAKE_BUILD_TYPE=Release
+cmake --build .bench_build -j --target perfbench perfbench_test
+.bench_build/perfbench_test
+PERFBENCH_OUT="${TMPDIR:-/tmp}/check_build_perfbench.txt"
+python3 perfbench/run.py --workload paper_pipeline --seed 1 --seconds 5 \
+  --trace 0 | tee "$PERFBENCH_OUT"
+python3 - "$PERFBENCH_OUT" <<'EOF'
+import json, sys
+# The result record is the last line of the benchmark's stdout.
+with open(sys.argv[1]) as f:
+    result = json.loads(f.read().strip().splitlines()[-1])
+if result.get("correct") is not True:
+    sys.exit('FAIL: perfbench paper_pipeline smoke did not report '
+             '"correct": true')
+print("perfbench smoke OK: correct=true")
+EOF
+echo "perfbench OK"
 
 echo "== tsan: race gate (build-tsan) =="
 TSAN_DIR="${BUILD_DIR}-tsan"

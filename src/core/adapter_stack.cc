@@ -76,13 +76,10 @@ Tensor KnowledgeAdapterStack::Delta(int layer,
   const LayerAdapter& slot =
       slots_[static_cast<size_t>(layer_to_slot_[static_cast<size_t>(layer)])];
 
-  // Eq. 1: combine previous adapter state with this sublayer's input.
-  Tensor combined = chain_.defined()
-                        ? tensor::Add(sublayer_input, chain_)
-                        : sublayer_input;
-  // Eq. 2: bottleneck projection.
-  Tensor hidden = tensor::Relu(slot.down->Forward(combined));
-  chain_ = slot.up->Forward(hidden);  // H_A^l, carried to the next layer
+  // Eqs. 1-2: H_A^l, carried to the next layer.
+  chain_ = model::AdapterChainStep(sublayer_input, chain_,
+                                   slot.down->weight(), slot.down->bias(),
+                                   slot.up->weight(), slot.up->bias());
 
   if (!options_.use_infuser) {
     // InfuserKI-w/o-Ro: the raw adapter output merges unconditionally

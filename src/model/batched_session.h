@@ -4,42 +4,53 @@
 #include <cstddef>
 #include <vector>
 
+#include "model/hooks.h"
 #include "model/kv_cache.h"
+#include "model/serve_adapter.h"
 #include "model/transformer.h"
 
 namespace infuserki::model {
 
-/// Incremental inference over a pool of concurrent token sequences,
-/// decoded together in ragged batched steps.
+/// Cached inference over a pool of concurrent token sequences, decoded
+/// together in ragged batched steps. This is the one KV-cached engine:
+/// single-sequence decode and MCQ scoring drive a one-slot session
+/// (generation.cc), serving drives a wide one (serve/server.cc).
 ///
 /// Each in-flight sequence occupies one KV slot (see KvCache): AcquireSlot
 /// checks one out, Step() forwards every participating row's new tokens in
 /// ONE packed forward (prefill rows carry whole prompts, decode rows a
 /// single token — mixed freely), and ReleaseSlot recycles the slot for the
-/// next sequence. Every row of a Step is bit-exact with a single-sequence
-/// DecodeSession fed the same tokens (DESIGN.md §11): position-wise
-/// sublayers run packed with identical per-row arithmetic and attention
-/// runs per row against that row's own K/V page.
+/// next sequence. Every row of a Step is bit-exact with the full-sequence
+/// TransformerLM::Logits over that row's whole sequence (DESIGN.md §7,
+/// §11): position-wise sublayers and hook deltas run packed with identical
+/// per-row arithmetic and attention runs per row against that row's own
+/// K/V page.
 ///
-/// Snapshot()/Restore() save and replant a slot's K/V pages, which is how
-/// the serving layer's PrefixCache parks a prefilled prompt boundary and
-/// later seeds a fresh slot from it without re-running the prefill. A
-/// snapshot shares the underlying page storage (pages are never mutated in
-/// place — appends and truncations always produce fresh tensors), so two
-/// in-flight rows restored from the same snapshot share one copy of the
-/// prefix K/V until they diverge.
+/// Snapshot()/Restore() save and replant a slot's K/V pages: MCQ scoring
+/// replays every option from one prefilled prompt this way, and the
+/// serving layer's PrefixCache parks a prefilled prompt boundary to seed
+/// later slots without re-running the prefill. A snapshot shares the
+/// underlying page storage (pages are never mutated in place — appends
+/// always produce fresh tensors), so two in-flight rows restored from the
+/// same snapshot share one copy of the prefix K/V until they diverge.
 ///
 /// Sessions are single-threaded and inference-only (all forwards run under
-/// NoGradGuard; hooks / prefix tuning / tracing are unsupported — the
-/// generation layer routes those to the single-sequence paths). Thread
-/// confinement, not locking, is the concurrency contract (DESIGN.md §13):
-/// the session and its KV slot pool are owned by exactly one scheduler
-/// thread, so they carry no mutex and no TSA capabilities. SlotSnapshots
-/// handed to the PrefixCache are immutable shares; the cache's own mu_
-/// publishes them to other rows.
+/// NoGradGuard). The session's ForwardOptions (hooks, prefix tuning) apply
+/// to every row; sequence-stateful hooks and tracing are rejected — the
+/// generation layer routes those to the full-recompute path. A hook is
+/// mutated during a forward and must not be shared with a concurrent
+/// session or forward. Thread confinement, not locking, is the concurrency
+/// contract (DESIGN.md §13): the session and its KV slot pool are owned by
+/// exactly one thread (the scheduler thread in serving), so they carry no
+/// mutex and no TSA capabilities. SlotSnapshots handed to the PrefixCache
+/// are immutable shares; the cache's own mu_ publishes them to other rows.
 class BatchedDecodeSession {
  public:
-  BatchedDecodeSession(const TransformerLM& lm, size_t max_rows);
+  /// `options` apply to every Step row. `options.trace` must be null and
+  /// no hook may be SequenceStateful(). `options` (and any hook / prefix
+  /// it points to) must outlive the session.
+  BatchedDecodeSession(const TransformerLM& lm, size_t max_rows,
+                       const ForwardOptions& options = {});
 
   size_t max_rows() const { return cache_.num_slots(); }
   size_t active_rows() const { return active_rows_; }
@@ -60,11 +71,13 @@ class BatchedDecodeSession {
   void ReleaseSlot(size_t slot);
 
   /// A slot's per-layer K/V pages at some sequence boundary. Tensors share
-  /// storage with the live slot (cheap); `tokens` is the boundary length.
+  /// storage with the live slot (cheap); `tokens` is the boundary length
+  /// and `prefix_rows` the prefix-tuning rows heading every page.
   struct SlotSnapshot {
     std::vector<tensor::Tensor> keys;
     std::vector<tensor::Tensor> values;
     size_t tokens = 0;
+    size_t prefix_rows = 0;
   };
 
   /// Captures `slot`'s current pages. Call at the prompt boundary (right
@@ -72,14 +85,17 @@ class BatchedDecodeSession {
   SlotSnapshot Snapshot(size_t slot) const;
 
   /// Replants `snapshot` into a freshly acquired (empty) `slot`: the next
-  /// Step row on it continues from position snapshot.tokens.
+  /// Step row on it continues from position snapshot.tokens. The snapshot
+  /// must come from a session with the same prefix tuning.
   void Restore(size_t slot, const SlotSnapshot& snapshot);
 
   /// One participating row of a batched step. `adapter` pins the adapter
   /// version the row was admitted under (nullptr = base model); it must
   /// stay the same for every Step of that row's lifetime so the decoded
   /// stream is bit-exact for ONE version (the swap protocol's epoch
-  /// pinning, DESIGN.md §12). Not owned; the serving layer keeps the
+  /// pinning, DESIGN.md §12). It is served through a
+  /// PositionWiseAdapterHook, so a row with an adapter needs a session
+  /// without hooks of its own. Not owned; the serving layer keeps the
   /// version alive via its shared_ptr pin for as long as the row flies.
   struct RowInput {
     size_t slot = 0;
@@ -97,6 +113,7 @@ class BatchedDecodeSession {
 
  private:
   const TransformerLM& lm_;
+  ForwardOptions options_;
   KvCache cache_;
   std::vector<bool> in_use_;
   size_t active_rows_ = 0;

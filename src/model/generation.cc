@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "model/decode_session.h"
+#include "model/batched_session.h"
+#include "obs/metrics.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -83,21 +84,47 @@ double RowLogProb(const float* row, size_t vocab, int target) {
   return static_cast<double>(row[target]) - mx - std::log(sum);
 }
 
+/// Single-sequence view of a one-slot session: the slot it decodes in.
+class OneSlot {
+ public:
+  OneSlot(const TransformerLM& lm, const ForwardOptions& options)
+      : session_(lm, /*max_rows=*/1, options), slot_(session_.AcquireSlot()) {}
+
+  /// Extends the sequence with `tokens`; returns their logits [T, V].
+  Tensor Feed(std::vector<int> tokens) {
+    return session_.Step({{slot_, std::move(tokens)}})[0];
+  }
+
+  BatchedDecodeSession::SlotSnapshot Snapshot() const {
+    return session_.Snapshot(slot_);
+  }
+
+  /// Drops everything fed since `snapshot` was taken on this session.
+  void Restore(const BatchedDecodeSession::SlotSnapshot& snapshot) {
+    session_.ReleaseSlot(slot_);
+    slot_ = session_.AcquireSlot();
+    session_.Restore(slot_, snapshot);
+  }
+
+ private:
+  BatchedDecodeSession session_;
+  size_t slot_;
+};
+
 /// Sum log P(continuation | cached prompt) against a session whose cache
 /// currently ends exactly at the prompt. `prompt_logits` is the prefill
 /// result (its last row scores the first continuation token); the remaining
 /// continuation tokens are fed incrementally. Leaves the session extended —
-/// callers rewind.
-double ContinuationLogProb(DecodeSession* session,
-                           const Tensor& prompt_logits,
+/// callers restore.
+double ContinuationLogProb(OneSlot* session, const Tensor& prompt_logits,
                            const std::vector<int>& continuation) {
   size_t vocab = prompt_logits.dim(1);
   const float* last_row =
       prompt_logits.data() + (prompt_logits.dim(0) - 1) * vocab;
   double total = RowLogProb(last_row, vocab, continuation[0]);
   if (continuation.size() > 1) {
-    std::vector<int> inputs(continuation.begin(), continuation.end() - 1);
-    Tensor logits = session->Prefill(inputs);
+    Tensor logits = session->Feed(
+        std::vector<int>(continuation.begin(), continuation.end() - 1));
     for (size_t i = 0; i + 1 < continuation.size(); ++i) {
       total += RowLogProb(logits.data() + i * vocab, vocab,
                           continuation[i + 1]);
@@ -130,23 +157,22 @@ std::vector<int> DecodeFullRecompute(const TransformerLM& lm,
   return generated;
 }
 
-/// Incremental decode loop: prefill the prompt once, then one single-token
+/// Cached decode loop: prefill the prompt once, then one single-token
 /// forward per generated token. Token-stream-identical to
 /// DecodeFullRecompute for any causal forward (verified bit-exactly in
 /// tests/kv_cache_test.cc).
 template <typename PickFn>
-std::vector<int> DecodeIncremental(const TransformerLM& lm,
-                                   const std::vector<int>& prompt_ids,
-                                   size_t max_new_tokens,
-                                   const ForwardOptions& options,
-                                   PickFn&& pick) {
+std::vector<int> DecodeCached(const TransformerLM& lm,
+                              const std::vector<int>& prompt_ids,
+                              size_t max_new_tokens,
+                              const ForwardOptions& options, PickFn&& pick) {
   std::vector<int> generated;
   if (max_new_tokens == 0 ||
       prompt_ids.size() >= lm.config().max_seq_len) {
     return generated;
   }
-  DecodeSession session(lm, options);
-  Tensor logits = session.Prefill(prompt_ids);
+  OneSlot session(lm, options);
+  Tensor logits = session.Feed(prompt_ids);
   while (true) {
     int next = pick(logits);
     if (next == text::kEosId) break;
@@ -155,7 +181,7 @@ std::vector<int> DecodeIncremental(const TransformerLM& lm,
     if (prompt_ids.size() + generated.size() >= lm.config().max_seq_len) {
       break;
     }
-    logits = session.Decode(next);
+    logits = session.Feed({next});
   }
   return generated;
 }
@@ -193,7 +219,7 @@ std::vector<int> GreedyDecode(const TransformerLM& lm,
     return DecodeFullRecompute(lm, prompt_ids, max_new_tokens, options,
                                pick);
   }
-  return DecodeIncremental(lm, prompt_ids, max_new_tokens, options, pick);
+  return DecodeCached(lm, prompt_ids, max_new_tokens, options, pick);
 }
 
 std::vector<int> SampleDecode(const TransformerLM& lm,
@@ -213,7 +239,7 @@ std::vector<int> SampleDecode(const TransformerLM& lm,
     return DecodeFullRecompute(lm, prompt_ids, max_new_tokens, options,
                                pick);
   }
-  return DecodeIncremental(lm, prompt_ids, max_new_tokens, options, pick);
+  return DecodeCached(lm, prompt_ids, max_new_tokens, options, pick);
 }
 
 double SequenceLogProb(const TransformerLM& lm,
@@ -230,8 +256,8 @@ double SequenceLogProb(const TransformerLM& lm,
     return SequenceLogProbFullRecompute(lm, prompt_ids, continuation_ids,
                                         options);
   }
-  DecodeSession session(lm, options);
-  Tensor prompt_logits = session.Prefill(prompt_ids);
+  OneSlot session(lm, options);
+  Tensor prompt_logits = session.Feed(prompt_ids);
   return ContinuationLogProb(&session, prompt_logits, continuation_ids);
 }
 
@@ -249,11 +275,13 @@ OptionScores ScoreOptions(const TransformerLM& lm,
   std::vector<double> normalized;
   normalized.reserve(options_text.size());
   if (incremental) {
-    // Prefill the shared prompt once; every option reuses the cached
-    // prefix and only its own continuation tokens are forwarded.
-    DecodeSession session(lm, options);
-    Tensor prompt_logits = session.Prefill(prompt_ids);
-    DecodeSession::Checkpoint prompt_mark = session.Save();
+    // Prefill the shared prompt once; every option restores the cached
+    // prompt and only its own continuation tokens are forwarded.
+    static obs::Counter* const rewinds =
+        obs::Registry::Get().GetCounter("engine/rewinds");
+    OneSlot session(lm, options);
+    Tensor prompt_logits = session.Feed(prompt_ids);
+    BatchedDecodeSession::SlotSnapshot prompt_mark = session.Snapshot();
     for (const std::string& option : options_text) {
       std::vector<int> continuation = tokenizer.Encode(option);
       CHECK(!continuation.empty()) << "empty option text";
@@ -261,7 +289,8 @@ OptionScores ScoreOptions(const TransformerLM& lm,
                lm.config().max_seq_len)
           << "scored sequence exceeds max_seq_len";
       double lp = ContinuationLogProb(&session, prompt_logits, continuation);
-      session.Rewind(prompt_mark);
+      session.Restore(prompt_mark);
+      rewinds->Increment();
       scores.log_probs.push_back(lp);
       normalized.push_back(lp / static_cast<double>(continuation.size()));
     }

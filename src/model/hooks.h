@@ -18,19 +18,17 @@ namespace infuserki::model {
 /// this layer". InfuserKI's gated knowledge adapters, CALINET's calibration
 /// adapter and T-Patcher's patch neurons are all implemented as FfnHooks.
 ///
-/// Incremental decode protocol: on the KV-cached path (DecodeSession) the
-/// model calls BeginExtend(rows_so_far) instead of BeginForward() and then
-/// feeds only the NEW rows to FfnDelta. A hook whose delta for row t
-/// depends only on row t of the current forward (position-wise — CALINET,
-/// T-Patcher, and the adapter chain without the Infuser gate) needs no
-/// overrides: the default BeginExtend treats each chunk as a fresh forward,
-/// which is bit-identical to the full-sequence pass for such hooks. A hook
-/// whose delta pools over the WHOLE sequence must override
-/// SequenceStateful() to return true: its full-sequence forward is
-/// non-causal (every row's delta sees later rows through the pooled gate),
-/// so no incremental pass can reproduce it bit-exactly, and the generation
-/// layer routes such forwards to the legacy full-recompute path instead of
-/// a session (see DESIGN.md §7).
+/// Cached decode protocol: on the KV-cached path (BatchedDecodeSession)
+/// each forward calls BeginForward() and then feeds FfnDelta only the NEW
+/// rows, packed across every row of the batch. A hook whose delta for a
+/// row depends only on that row (position-wise: CALINET, T-Patcher, and
+/// the adapter chain without the Infuser gate) is therefore bit-identical
+/// to the full-sequence pass with no extra work. A hook whose delta pools
+/// over the WHOLE sequence must override SequenceStateful() to return
+/// true: its full-sequence forward is non-causal (every row's delta sees
+/// later rows through the pooled gate), so no cached pass can reproduce it
+/// bit-exactly, and the generation layer routes such forwards to the
+/// full-recompute path instead of a session (see DESIGN.md §7).
 class FfnHook {
  public:
   virtual ~FfnHook() = default;
@@ -39,17 +37,9 @@ class FfnHook {
   /// (e.g. InfuserKI's cross-layer adapter chain) reset here.
   virtual void BeginForward() {}
 
-  /// Incremental-decode variant of BeginForward(): the next FfnDelta calls
-  /// extend a sequence of which `rows_so_far` rows were already fed (0 on
-  /// the session's first chunk).
-  virtual void BeginExtend(size_t rows_so_far) {
-    (void)rows_so_far;
-    BeginForward();
-  }
-
   /// True when the hook's delta for a row depends on other rows of the
   /// sequence (e.g. the Infuser gate's Mean(H_P^l) pooling). Such hooks are
-  /// incompatible with KV-cached incremental decoding.
+  /// incompatible with KV-cached decoding.
   virtual bool SequenceStateful() const { return false; }
 
   /// `layer` is 0-based. `ffn_input` is H_P^l with shape [T, D].
@@ -59,17 +49,12 @@ class FfnHook {
 
 /// Extension point parallel to the attention sublayer (used by the
 /// adapter-position ablation of Fig. 5, "3-32nd attention layers").
-/// Follows the same incremental decode protocol as FfnHook.
+/// Follows the same cached decode protocol as FfnHook.
 class AttnHook {
  public:
   virtual ~AttnHook() = default;
 
   virtual void BeginForward() {}
-
-  virtual void BeginExtend(size_t rows_so_far) {
-    (void)rows_so_far;
-    BeginForward();
-  }
 
   virtual bool SequenceStateful() const { return false; }
 
@@ -107,7 +92,7 @@ struct ForwardOptions {
 
 /// True when `options` carries a hook whose delta pools over the whole
 /// sequence; forwards with such hooks must take the full-recompute path
-/// instead of a DecodeSession.
+/// instead of a BatchedDecodeSession.
 inline bool HasSequenceStatefulHook(const ForwardOptions& options) {
   return (options.ffn_hook != nullptr &&
           options.ffn_hook->SequenceStateful()) ||

@@ -19,29 +19,6 @@ void KvCache::SeedPrefix(const PrefixKv* prefix, size_t slot_index) {
   }
 }
 
-void KvCache::TruncateTokens(size_t num_tokens, size_t slot_index) {
-  Slot& slot = slots_.at(slot_index);
-  CHECK_LE(num_tokens, slot.tokens);
-  if (num_tokens == slot.tokens) return;
-  size_t keep_rows = slot.prefix_rows + num_tokens;
-  for (LayerKv& layer : slot.layers) {
-    if (!layer.k.defined()) continue;
-    if (keep_rows == 0) {
-      layer.k = tensor::Tensor();
-      layer.v = tensor::Tensor();
-      continue;
-    }
-    size_t cols = layer.k.dim(1);
-    std::vector<float> k_data(layer.k.data(),
-                              layer.k.data() + keep_rows * cols);
-    std::vector<float> v_data(layer.v.data(),
-                              layer.v.data() + keep_rows * cols);
-    layer.k = tensor::Tensor::FromData({keep_rows, cols}, std::move(k_data));
-    layer.v = tensor::Tensor::FromData({keep_rows, cols}, std::move(v_data));
-  }
-  slot.tokens = num_tokens;
-}
-
 void KvCache::ResetSlot(size_t slot_index) {
   Slot& slot = slots_.at(slot_index);
   for (LayerKv& layer : slot.layers) {

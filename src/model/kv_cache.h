@@ -23,23 +23,21 @@ struct LayerKv {
 /// as a pool of independent slots.
 ///
 /// A slot is one logical sequence's set of K/V pages: `num_layers` LayerKv
-/// pages plus a cached-token count. The single-sequence engine
-/// (DecodeSession) uses a one-slot pool through the slot-defaulted
-/// accessors below; BatchedDecodeSession acquires one slot per in-flight
-/// batch row and the ragged batched forward appends each row's new K/V
-/// rows to that row's slot only — slots never share pages, so retiring or
-/// rewinding one row cannot disturb another.
+/// pages plus a cached-token count. BatchedDecodeSession acquires one slot
+/// per in-flight sequence (a one-slot pool for single-sequence decode) and
+/// the ragged batched forward appends each row's new K/V rows to that
+/// row's slot only — slots never share pages, so retiring or resetting one
+/// row cannot disturb another.
 ///
-/// Grown by TransformerLM::LogitsIncremental / LogitsBatched (each chunked
-/// forward appends its new K/V rows) and truncated by
-/// DecodeSession::Rewind (prefix reuse). Rows are plain detached values:
-/// the cache is only ever filled under NoGradGuard.
+/// Grown by TransformerLM::LogitsBatched (each forward appends its new K/V
+/// rows). Rows are plain detached values: the cache is only ever filled
+/// under NoGradGuard.
 ///
 /// Concurrency contract (DESIGN.md §13): a KvCache is confined to the one
 /// thread that owns its session (scheduler thread in serving, caller thread
 /// elsewhere), so it is intentionally unsynchronized — no mutex, no TSA
 /// capabilities. Page tensors shared out through slot snapshots are
-/// immutable (appends/truncations always produce fresh tensors), which is
+/// immutable (appends always produce fresh tensors), which is
 /// what makes the cross-thread PrefixCache sharing in serve/ safe.
 class KvCache {
  public:
@@ -77,10 +75,6 @@ class KvCache {
   void AdvanceTokens(size_t count, size_t slot = 0) {
     slots_.at(slot).tokens += count;
   }
-
-  /// Drops `slot`'s cached rows beyond `num_tokens` token positions
-  /// (prefix-tuning rows are always kept). Requires num_tokens <= tokens().
-  void TruncateTokens(size_t num_tokens, size_t slot = 0);
 
   /// Returns `slot` to its pristine state: all pages dropped, token count
   /// zero, unseeded. Used when a batch slot is recycled for a new row.

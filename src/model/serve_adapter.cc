@@ -1,5 +1,6 @@
 #include "model/serve_adapter.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "tensor/ops.h"
@@ -8,6 +9,15 @@
 namespace infuserki::model {
 
 using tensor::Tensor;
+
+Tensor AdapterChainStep(const Tensor& input, const Tensor& chain,
+                        const Tensor& down_weight, const Tensor& down_bias,
+                        const Tensor& up_weight, const Tensor& up_bias) {
+  Tensor combined = chain.defined() ? tensor::Add(input, chain) : input;
+  Tensor hidden = tensor::Relu(
+      tensor::Add(tensor::MatmulNT(combined, down_weight), down_bias));
+  return tensor::Add(tensor::MatmulNT(hidden, up_weight), up_bias);
+}
 
 PositionWiseAdapter::PositionWiseAdapter(size_t model_dim, size_t bottleneck,
                                          AdapterAttachment attachment,
@@ -29,49 +39,35 @@ PositionWiseAdapter::PositionWiseAdapter(size_t model_dim, size_t bottleneck,
     CHECK_EQ(slot.up_weight.dim(1), bottleneck_);
     CHECK_EQ(slot.up_bias.dim(0), model_dim_);
   }
-  layer_to_slot_.assign(static_cast<size_t>(max_layer) + 1, -1);
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    layer_to_slot_[static_cast<size_t>(layers_[i].layer)] =
-        static_cast<int>(i);
+}
+
+const PositionWiseAdapter::LayerWeights* PositionWiseAdapter::Find(
+    int layer) const {
+  auto it = std::lower_bound(
+      layers_.begin(), layers_.end(), layer,
+      [](const LayerWeights& slot, int l) { return slot.layer < l; });
+  return it != layers_.end() && it->layer == layer ? &*it : nullptr;
+}
+
+Tensor PositionWiseAdapterHook::Delta(AdapterAttachment sublayer, int layer,
+                                      const Tensor& sublayer_input) {
+  if (adapter_ == nullptr || adapter_->attachment() != sublayer) {
+    return Tensor();
   }
-}
-
-bool PositionWiseAdapter::IsAdapted(int layer) const {
-  return layer >= 0 && static_cast<size_t>(layer) < layer_to_slot_.size() &&
-         layer_to_slot_[static_cast<size_t>(layer)] >= 0;
-}
-
-Tensor PositionWiseAdapter::Delta(int layer, const Tensor& sublayer_input,
-                                  ChainState* state) const {
-  CHECK(state != nullptr);
-  if (!IsAdapted(layer)) return Tensor();
-  const LayerWeights& slot =
-      layers_[static_cast<size_t>(layer_to_slot_[static_cast<size_t>(layer)])];
-  Tensor combined = state->chain.defined()
-                        ? tensor::Add(sublayer_input, state->chain)
-                        : sublayer_input;
-  Tensor hidden = tensor::Relu(tensor::Add(
-      tensor::MatmulNT(combined, slot.down_weight), slot.down_bias));
-  state->chain =
-      tensor::Add(tensor::MatmulNT(hidden, slot.up_weight), slot.up_bias);
-  return state->chain;
+  const PositionWiseAdapter::LayerWeights* slot = adapter_->Find(layer);
+  if (slot == nullptr) return Tensor();
+  chain_ = AdapterChainStep(sublayer_input, chain_, slot->down_weight,
+                            slot->down_bias, slot->up_weight, slot->up_bias);
+  return chain_;
 }
 
 Tensor PositionWiseAdapterHook::FfnDelta(int layer, const Tensor& ffn_input) {
-  if (adapter_ == nullptr ||
-      adapter_->attachment() != AdapterAttachment::kFfn) {
-    return Tensor();
-  }
-  return adapter_->Delta(layer, ffn_input, &state_);
+  return Delta(AdapterAttachment::kFfn, layer, ffn_input);
 }
 
 Tensor PositionWiseAdapterHook::AttnDelta(int layer,
                                           const Tensor& attn_input) {
-  if (adapter_ == nullptr ||
-      adapter_->attachment() != AdapterAttachment::kAttention) {
-    return Tensor();
-  }
-  return adapter_->Delta(layer, attn_input, &state_);
+  return Delta(AdapterAttachment::kAttention, layer, attn_input);
 }
 
 ForwardOptions PositionWiseAdapterHook::Options() {

@@ -17,15 +17,30 @@ enum class AdapterAttachment : uint32_t {
   kAttention = 1,
 };
 
+/// One step of the knowledge-adapter chain (Eqs. 1-2), shared by the
+/// training-side core::KnowledgeAdapterStack and the serving-side
+/// PositionWiseAdapterHook so both run the same ops in the same order:
+///   combined = chain.defined() ? input + chain : input          (Eq. 1)
+///   H_A^l    = Relu(combined @ W_down^T + b_down) @ W_up^T + b_up (Eq. 2)
+/// `chain` is H_A^{l-1} (undefined at the chain's first adapted layer).
+/// Every op is row-wise, so a packed batch of sequences gets, row for
+/// row, the result of running each sequence alone.
+tensor::Tensor AdapterChainStep(const tensor::Tensor& input,
+                                const tensor::Tensor& chain,
+                                const tensor::Tensor& down_weight,
+                                const tensor::Tensor& down_bias,
+                                const tensor::Tensor& up_weight,
+                                const tensor::Tensor& up_bias);
+
 /// Immutable position-wise knowledge-adapter weights for serving.
 ///
 /// This is the inference-side export of core::KnowledgeAdapterStack in its
 /// ungated (w/o-Ro, use_infuser = false) form: per adapted layer a
-/// bottleneck down/up projection pair, chained across layers through the
-/// caller-owned ChainState exactly like the training-side stack chains
+/// bottleneck down/up projection pair, chained across layers by
+/// PositionWiseAdapterHook exactly like the training-side stack chains
 /// adapter outputs (DESIGN.md §12). The gated form pools Mean(H_P^l) over
-/// the whole sequence and therefore cannot take the KV-cached or batched
-/// paths; exports of gated stacks are rejected at the source.
+/// the whole sequence and therefore cannot take the KV-cached path;
+/// exports of gated stacks are rejected at the source.
 ///
 /// All members are set at construction and never mutated, so one instance
 /// may be shared freely across threads (the swap protocol publishes
@@ -42,17 +57,11 @@ class PositionWiseAdapter {
     tensor::Tensor up_bias;      // [model_dim]
   };
 
-  /// Cross-layer chain state for ONE forward pass. The chain tensor is
-  /// [T, D] over the rows of the current forward; every op that touches it
-  /// is row-wise, so a packed ragged batch threads one ChainState for all
-  /// rows and stays bit-exact per row with the single-sequence pass.
-  struct ChainState {
-    tensor::Tensor chain;
-  };
-
-  /// `layers` must be sorted by ascending layer index with consistent
-  /// shapes; CHECK-fails otherwise (registry loads validate before
-  /// constructing).
+  /// `layers` must be sorted by strictly ascending, non-negative layer
+  /// index with consistent shapes; CHECK-fails otherwise (registry loads
+  /// validate before constructing). Whether the layers exist in a given
+  /// model is checked where the adapter meets one
+  /// (serve::InferenceServer::SwapAdapters).
   PositionWiseAdapter(size_t model_dim, size_t bottleneck,
                       AdapterAttachment attachment,
                       std::vector<LayerWeights> layers);
@@ -61,32 +70,23 @@ class PositionWiseAdapter {
   size_t bottleneck() const { return bottleneck_; }
   AdapterAttachment attachment() const { return attachment_; }
   const std::vector<LayerWeights>& layers() const { return layers_; }
-  bool IsAdapted(int layer) const;
 
-  /// Adapter delta for `layer` given the sublayer input [T, D]; returns an
-  /// undefined Tensor for unadapted layers (chain state untouched, exactly
-  /// like the training stack skipping a layer). Arithmetic is
-  /// op-for-op identical to KnowledgeAdapterStack's ungated Delta:
-  ///   combined = chain.defined() ? input + chain : input
-  ///   hidden   = Relu(combined @ W_down^T + b_down)
-  ///   chain    = hidden @ W_up^T + b_up        (also the returned delta)
-  tensor::Tensor Delta(int layer, const tensor::Tensor& sublayer_input,
-                       ChainState* state) const;
+  /// The weights adapting `layer`, or nullptr for an unadapted layer.
+  const LayerWeights* Find(int layer) const;
 
  private:
   size_t model_dim_;
   size_t bottleneck_;
   AdapterAttachment attachment_;
   std::vector<LayerWeights> layers_;
-  std::vector<int> layer_to_slot_;  // dense layer -> layers_ index, -1 = none
 };
 
-/// FfnHook/AttnHook bridge so the single-sequence paths (full recompute,
-/// DecodeSession, GreedyDecode references) run a PositionWiseAdapter
-/// through the ordinary ForwardOptions plumbing. Position-wise
-/// (SequenceStateful() stays false), so the generation layer keeps the
-/// fast KV-cached route. Holds per-forward chain state: one hook instance
-/// per concurrent forward, not shared across threads.
+/// FfnHook/AttnHook that runs a PositionWiseAdapter through the ordinary
+/// ForwardOptions plumbing — on the full-recompute path and on the
+/// batched session, which serves every pinned adapter version through one
+/// of these (DESIGN.md §12). Position-wise (SequenceStateful() stays
+/// false). Holds the per-forward chain H_A^{l-1}: one hook instance per
+/// concurrent forward, not shared across threads.
 class PositionWiseAdapterHook : public FfnHook, public AttnHook {
  public:
   /// `adapter` may be nullptr (base model: no deltas, empty Options()).
@@ -94,7 +94,7 @@ class PositionWiseAdapterHook : public FfnHook, public AttnHook {
   explicit PositionWiseAdapterHook(const PositionWiseAdapter* adapter)
       : adapter_(adapter) {}
 
-  void BeginForward() override { state_.chain = tensor::Tensor(); }
+  void BeginForward() override { chain_ = tensor::Tensor(); }
 
   tensor::Tensor FfnDelta(int layer, const tensor::Tensor& ffn_input) override;
   tensor::Tensor AttnDelta(int layer,
@@ -105,8 +105,13 @@ class PositionWiseAdapterHook : public FfnHook, public AttnHook {
   ForwardOptions Options();
 
  private:
+  /// Adapter delta for `layer` (undefined for unadapted layers, which
+  /// leave the chain untouched), advancing the chain.
+  tensor::Tensor Delta(AdapterAttachment sublayer, int layer,
+                       const tensor::Tensor& sublayer_input);
+
   const PositionWiseAdapter* adapter_;
-  PositionWiseAdapter::ChainState state_;
+  tensor::Tensor chain_;  // H_A^{l-1} of the current forward
 };
 
 }  // namespace infuserki::model

@@ -4,7 +4,6 @@
 
 #include "tensor/ops.h"
 #include "util/logging.h"
-#include "util/threadpool.h"
 
 namespace infuserki::model {
 
@@ -33,39 +32,15 @@ TransformerLayer::TransformerLayer(const TransformerConfig& config,
   RegisterModule("ffn_down", &ffn_down_);
 }
 
-Tensor TransformerLayer::Forward(const Tensor& x, int layer_index,
-                                 const ForwardOptions& options,
-                                 LayerKv* kv) const {
+Tensor TransformerLayer::Block(const Tensor& x, int layer_index,
+                              const ForwardOptions& options,
+                              const AttendFn& attend) const {
   // Attention sublayer.
   Tensor attn_in = tensor::RmsNorm(x, norm1_weight_);
   Tensor q = wq_.Forward(attn_in);
   Tensor k = wk_.Forward(attn_in);
   Tensor v = wv_.Forward(attn_in);
-  size_t prefix_len = 0;
-  if (kv != nullptr) {
-    // KV-cached path. The cache already holds prefix-tuning rows (seeded by
-    // KvCache::SeedPrefix) plus one row per previously fed position; all of
-    // them are visible to every new query, and the new rows are causal
-    // among themselves — exactly the full-sequence mask restricted to the
-    // new rows.
-    if (kv->k.defined()) {
-      prefix_len = kv->k.dim(0);
-      k = tensor::ConcatRows(kv->k, k);
-      v = tensor::ConcatRows(kv->v, v);
-    }
-    kv->k = k;
-    kv->v = v;
-  } else if (options.prefix != nullptr && options.prefix->prefix_len > 0) {
-    const PrefixKv& prefix = *options.prefix;
-    CHECK_LT(static_cast<size_t>(layer_index), prefix.keys.size());
-    k = tensor::ConcatRows(prefix.keys[static_cast<size_t>(layer_index)], k);
-    v = tensor::ConcatRows(prefix.values[static_cast<size_t>(layer_index)],
-                           v);
-    prefix_len = prefix.prefix_len;
-  }
-  Tensor attn =
-      tensor::CausalSelfAttention(q, k, v, num_heads_, prefix_len);
-  Tensor attn_out = wo_.Forward(attn);
+  Tensor attn_out = wo_.Forward(attend(q, k, v));
   if (options.attn_hook != nullptr) {
     Tensor delta = options.attn_hook->AttnDelta(layer_index, attn_in);
     if (delta.defined()) attn_out = tensor::Add(attn_out, delta);
@@ -87,70 +62,61 @@ Tensor TransformerLayer::Forward(const Tensor& x, int layer_index,
   return tensor::Add(h, ffn_out);
 }
 
-Tensor TransformerLayer::ForwardBatched(
-    const Tensor& x, const std::vector<size_t>& row_lens,
-    const std::vector<LayerKv*>& row_kv, int layer_index,
-    const PositionWiseAdapter* adapter,
-    PositionWiseAdapter::ChainState* chain) const {
+Tensor TransformerLayer::Forward(const Tensor& x, int layer_index,
+                                 const ForwardOptions& options) const {
+  return Block(x, layer_index, options,
+               [&](const Tensor& q, const Tensor& k, const Tensor& v) {
+                 const PrefixKv* prefix = options.prefix;
+                 if (prefix == nullptr || prefix->prefix_len == 0) {
+                   return tensor::CausalSelfAttention(q, k, v, num_heads_);
+                 }
+                 size_t l = static_cast<size_t>(layer_index);
+                 CHECK_LT(l, prefix->keys.size());
+                 return tensor::CausalSelfAttention(
+                     q, tensor::ConcatRows(prefix->keys[l], k),
+                     tensor::ConcatRows(prefix->values[l], v), num_heads_,
+                     prefix->prefix_len);
+               });
+}
+
+Tensor TransformerLayer::ForwardBatched(const Tensor& x,
+                                        const std::vector<size_t>& row_lens,
+                                        const std::vector<LayerKv*>& row_kv,
+                                        int layer_index,
+                                        const ForwardOptions& options) const {
   CHECK_EQ(row_lens.size(), row_kv.size());
-  CHECK(adapter == nullptr || chain != nullptr)
-      << "batched adapter forwards need a caller-owned chain state";
-  // Attention sublayer. The norm and the Q/K/V projections are
-  // position-wise, so running them on the packed batch produces — row for
-  // row — the same values as running each sequence alone.
-  Tensor attn_in = tensor::RmsNorm(x, norm1_weight_);
-  Tensor q = wq_.Forward(attn_in);
-  Tensor k = wk_.Forward(attn_in);
-  Tensor v = wv_.Forward(attn_in);
   // Attention is the only sublayer that mixes positions, so it runs per
   // row inside one ragged kernel call: each row's cached K/V page is
   // extended with its new rows, then CausalSelfAttentionRagged attends
-  // every row against its own pages (cached rows as an always-visible
-  // prefix) with per-row arithmetic identical to the single-sequence
-  // kernel, fanning rows out over the global pool.
-  std::vector<size_t> row_offsets(row_lens.size());
-  size_t offset = 0;
-  for (size_t r = 0; r < row_lens.size(); ++r) {
-    CHECK_GT(row_lens[r], size_t{0});
-    row_offsets[r] = offset;
-    offset += row_lens[r];
-  }
-  CHECK_EQ(offset, x.dim(0));
-  std::vector<Tensor> keys(row_lens.size());
-  std::vector<Tensor> values(row_lens.size());
-  for (size_t r = 0; r < row_lens.size(); ++r) {
-    Tensor k_r = tensor::SliceRows(k, row_offsets[r], row_lens[r]);
-    Tensor v_r = tensor::SliceRows(v, row_offsets[r], row_lens[r]);
-    LayerKv* kv = row_kv[r];
-    if (kv->k.defined()) {
-      k_r = tensor::ConcatRows(kv->k, k_r);
-      v_r = tensor::ConcatRows(kv->v, v_r);
+  // every row against its own page (cached rows as an always-visible
+  // prefix) with per-row arithmetic identical to CausalSelfAttention.
+  auto attend = [&](const Tensor& q, const Tensor& k, const Tensor& v) {
+    std::vector<Tensor> keys(row_lens.size());
+    std::vector<Tensor> values(row_lens.size());
+    size_t offset = 0;
+    for (size_t r = 0; r < row_lens.size(); ++r) {
+      CHECK_GT(row_lens[r], size_t{0});
+      // A one-row batch owns all of k/v: no slice copy.
+      Tensor k_r = row_lens.size() == 1
+                       ? k
+                       : tensor::SliceRows(k, offset, row_lens[r]);
+      Tensor v_r = row_lens.size() == 1
+                       ? v
+                       : tensor::SliceRows(v, offset, row_lens[r]);
+      offset += row_lens[r];
+      LayerKv* kv = row_kv[r];
+      if (kv->k.defined()) {
+        k_r = tensor::ConcatRows(kv->k, k_r);
+        v_r = tensor::ConcatRows(kv->v, v_r);
+      }
+      kv->k = keys[r] = k_r;
+      kv->v = values[r] = v_r;
     }
-    kv->k = k_r;
-    kv->v = v_r;
-    keys[r] = k_r;
-    values[r] = v_r;
-  }
-  Tensor attn =
-      tensor::CausalSelfAttentionRagged(q, keys, values, row_lens, num_heads_);
-  Tensor attn_out = wo_.Forward(attn);
-  if (adapter != nullptr &&
-      adapter->attachment() == AdapterAttachment::kAttention) {
-    Tensor delta = adapter->Delta(layer_index, attn_in, chain);
-    if (delta.defined()) attn_out = tensor::Add(attn_out, delta);
-  }
-  Tensor h = tensor::Add(x, attn_out);
-
-  // FFN sublayer (SwiGLU) — position-wise, packed.
-  Tensor ffn_in = tensor::RmsNorm(h, norm2_weight_);
-  Tensor gate = tensor::Silu(ffn_gate_.Forward(ffn_in));
-  Tensor up = ffn_up_.Forward(ffn_in);
-  Tensor ffn_out = ffn_down_.Forward(tensor::Mul(gate, up));
-  if (adapter != nullptr && adapter->attachment() == AdapterAttachment::kFfn) {
-    Tensor delta = adapter->Delta(layer_index, ffn_in, chain);
-    if (delta.defined()) ffn_out = tensor::Add(ffn_out, delta);
-  }
-  return tensor::Add(h, ffn_out);
+    CHECK_EQ(offset, q.dim(0));
+    return tensor::CausalSelfAttentionRagged(q, keys, values, row_lens,
+                                             num_heads_);
+  };
+  return Block(x, layer_index, options, attend);
 }
 
 TransformerLM::TransformerLM(const TransformerConfig& config, util::Rng* rng)
@@ -202,53 +168,20 @@ Tensor TransformerLM::Logits(const std::vector<int>& tokens,
   return tensor::MatmulNT(h, token_emb_.table());
 }
 
-Tensor TransformerLM::HiddenIncremental(const std::vector<int>& tokens,
-                                        KvCache* cache,
-                                        const ForwardOptions& options) const {
-  CHECK(cache != nullptr);
-  CHECK(!tokens.empty());
-  CHECK(!tensor::GradEnabled())
-      << "the incremental path is inference-only (run under NoGradGuard)";
-  CHECK(options.trace == nullptr)
-      << "trace recording is not supported on the incremental path";
-  CHECK(!HasSequenceStatefulHook(options))
-      << "sequence-stateful hooks cannot take the incremental path";
-  CHECK_EQ(cache->num_layers(), layers_.size());
-  size_t start = cache->tokens();
-  CHECK_LE(start + tokens.size(), config_.max_seq_len)
-      << "sequence exceeds max_seq_len";
-  if (!cache->seeded()) cache->SeedPrefix(options.prefix);
-  if (options.ffn_hook != nullptr) options.ffn_hook->BeginExtend(start);
-  if (options.attn_hook != nullptr) options.attn_hook->BeginExtend(start);
-  std::vector<int> positions(tokens.size());
-  std::iota(positions.begin(), positions.end(), static_cast<int>(start));
-  Tensor x = tensor::Add(token_emb_.Forward(tokens),
-                         pos_emb_.Forward(positions));
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    x = layers_[l]->Forward(x, static_cast<int>(l), options,
-                            cache->layer(l));
-  }
-  cache->AdvanceTokens(tokens.size());
-  return tensor::RmsNorm(x, final_norm_weight_);
-}
-
-Tensor TransformerLM::LogitsIncremental(const std::vector<int>& tokens,
-                                        KvCache* cache,
-                                        const ForwardOptions& options) const {
-  Tensor h = HiddenIncremental(tokens, cache, options);
-  return tensor::MatmulNT(h, token_emb_.table());
-}
-
 Tensor TransformerLM::HiddenBatched(const std::vector<BatchRow>& rows,
                                     KvCache* cache,
-                                    const PositionWiseAdapter* adapter) const {
+                                    const ForwardOptions& options) const {
   CHECK(cache != nullptr);
   CHECK(!rows.empty());
-  CHECK(adapter == nullptr || adapter->model_dim() == config_.dim)
-      << "adapter model_dim does not match this model";
   CHECK(!tensor::GradEnabled())
       << "the batched path is inference-only (run under NoGradGuard)";
+  CHECK(options.trace == nullptr)
+      << "trace recording is not supported on the cached path";
+  CHECK(!HasSequenceStatefulHook(options))
+      << "sequence-stateful hooks cannot take the cached path";
   CHECK_EQ(cache->num_layers(), layers_.size());
+  size_t prefix_len = options.prefix != nullptr ? options.prefix->prefix_len
+                                                : 0;
   std::vector<int> packed_tokens;
   std::vector<int> packed_positions;
   std::vector<size_t> row_lens;
@@ -264,28 +197,26 @@ Tensor TransformerLM::HiddenBatched(const std::vector<BatchRow>& rows,
     size_t start = cache->tokens(row.slot);
     CHECK_LE(start + row.tokens->size(), config_.max_seq_len)
         << "sequence exceeds max_seq_len";
-    if (!cache->seeded(row.slot)) cache->SeedPrefix(nullptr, row.slot);
-    CHECK_EQ(cache->prefix_rows(row.slot), size_t{0})
-        << "prefix tuning is not supported on the batched path";
+    if (!cache->seeded(row.slot)) cache->SeedPrefix(options.prefix, row.slot);
+    CHECK_EQ(cache->prefix_rows(row.slot), prefix_len)
+        << "a slot must be forwarded with the prefix it was seeded with";
     for (size_t i = 0; i < row.tokens->size(); ++i) {
       packed_tokens.push_back((*row.tokens)[i]);
       packed_positions.push_back(static_cast<int>(start + i));
     }
     row_lens.push_back(row.tokens->size());
   }
+  if (options.ffn_hook != nullptr) options.ffn_hook->BeginForward();
+  if (options.attn_hook != nullptr) options.attn_hook->BeginForward();
   Tensor x = tensor::Add(token_emb_.Forward(packed_tokens),
                          pos_emb_.Forward(packed_positions));
   std::vector<LayerKv*> row_kv(rows.size());
-  // One chain state spans all layers of this forward (the adapter chain is
-  // row-wise over the packed batch, so a single [sum_T, D] chain tensor is
-  // exactly the per-row chains stacked in batch order).
-  PositionWiseAdapter::ChainState chain;
   for (size_t l = 0; l < layers_.size(); ++l) {
     for (size_t r = 0; r < rows.size(); ++r) {
       row_kv[r] = cache->layer(l, rows[r].slot);
     }
     x = layers_[l]->ForwardBatched(x, row_lens, row_kv, static_cast<int>(l),
-                                   adapter, &chain);
+                                   options);
   }
   for (const BatchRow& row : rows) {
     cache->AdvanceTokens(row.tokens->size(), row.slot);
@@ -295,8 +226,8 @@ Tensor TransformerLM::HiddenBatched(const std::vector<BatchRow>& rows,
 
 Tensor TransformerLM::LogitsBatched(const std::vector<BatchRow>& rows,
                                     KvCache* cache,
-                                    const PositionWiseAdapter* adapter) const {
-  Tensor h = HiddenBatched(rows, cache, adapter);
+                                    const ForwardOptions& options) const {
+  Tensor h = HiddenBatched(rows, cache, options);
   return tensor::MatmulNT(h, token_emb_.table());
 }
 

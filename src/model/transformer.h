@@ -1,13 +1,13 @@
 #ifndef INFUSERKI_MODEL_TRANSFORMER_H_
 #define INFUSERKI_MODEL_TRANSFORMER_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "model/config.h"
 #include "model/hooks.h"
 #include "model/kv_cache.h"
-#include "model/serve_adapter.h"
 #include "tensor/nn.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -21,40 +21,27 @@ class TransformerLayer : public tensor::Module {
  public:
   TransformerLayer(const TransformerConfig& config, util::Rng* rng);
 
-  /// Residual-stream update for layer `layer_index`.
-  ///
-  /// With `kv == nullptr` this is the full-sequence forward (prefix-tuning
-  /// rows, if any, are concatenated from `options.prefix`). With a cache
-  /// layer, `x` holds only the NEW positions: the cached K/V rows (which
-  /// already include any prefix-tuning rows) are prepended, the new rows
-  /// are appended to the cache, and attention runs with the cached rows as
-  /// an always-visible prefix — row-for-row bit-identical to the
-  /// full-sequence pass.
+  /// Full-sequence residual-stream update for layer `layer_index`
+  /// (prefix-tuning rows, if any, are concatenated from `options.prefix`).
   tensor::Tensor Forward(const tensor::Tensor& x, int layer_index,
-                         const ForwardOptions& options,
-                         LayerKv* kv = nullptr) const;
+                         const ForwardOptions& options) const;
 
-  /// Ragged batched residual-stream update. `x` is the packed batch
+  /// Ragged batched cached update. `x` is the packed batch
   /// [sum(row_lens), D] — row r's new positions occupy the `row_lens[r]`
   /// consecutive rows starting at offset sum(row_lens[0..r)). Every
-  /// position-wise sublayer (norms, projections, SwiGLU, residuals) runs on
-  /// the packed tensor directly — the arithmetic for each row is identical
-  /// to the single-sequence Forward — while attention is computed per row
-  /// against `row_kv[r]`, that row's cached K/V page (new rows appended,
-  /// exactly as the single-sequence cached path). Bit-exact per row with
-  /// Forward; no hook / prefix-tuning / trace support (serving path).
-  ///
-  /// An optional PositionWiseAdapter applies its delta to the packed
-  /// sublayer input (attachment selects attention vs FFN) with `chain`
-  /// carrying the cross-layer adapter state — every adapter op is
-  /// row-wise, so the packed delta stays bit-exact per row with the
-  /// hook-driven single-sequence pass. `layer_index` is only consulted by
-  /// the adapter; pass anything when `adapter == nullptr`.
-  tensor::Tensor ForwardBatched(
-      const tensor::Tensor& x, const std::vector<size_t>& row_lens,
-      const std::vector<LayerKv*>& row_kv, int layer_index = -1,
-      const PositionWiseAdapter* adapter = nullptr,
-      PositionWiseAdapter::ChainState* chain = nullptr) const;
+  /// position-wise sublayer (norms, projections, SwiGLU, hook deltas,
+  /// residuals) runs on the packed tensor directly, while attention runs
+  /// per row against `row_kv[r]`, that row's cached K/V page: the new rows
+  /// are appended and the cached rows (prefix-tuning rows included) form
+  /// an always-visible prefix. Row for row bit-identical to the
+  /// full-sequence Forward (DESIGN.md §11). The hooks in `options` see
+  /// the packed sublayer inputs; `options.prefix` is not read here (the
+  /// pages were seeded with it).
+  tensor::Tensor ForwardBatched(const tensor::Tensor& x,
+                                const std::vector<size_t>& row_lens,
+                                const std::vector<LayerKv*>& row_kv,
+                                int layer_index,
+                                const ForwardOptions& options) const;
 
   tensor::Linear& wq() { return wq_; }
   tensor::Linear& wk() { return wk_; }
@@ -65,6 +52,18 @@ class TransformerLayer : public tensor::Module {
   tensor::Linear& ffn_down() { return ffn_down_; }
 
  private:
+  /// Attention over the layer's projected q/k/v -> [rows of q, D]; the one
+  /// step in which Forward and ForwardBatched differ.
+  using AttendFn = std::function<tensor::Tensor(
+      const tensor::Tensor& q, const tensor::Tensor& k,
+      const tensor::Tensor& v)>;
+
+  /// The block body both forwards share: every sublayer, hook delta and
+  /// residual, with attention delegated to `attend`.
+  tensor::Tensor Block(const tensor::Tensor& x, int layer_index,
+                       const ForwardOptions& options,
+                       const AttendFn& attend) const;
+
   size_t num_heads_;
   tensor::Tensor norm1_weight_;
   tensor::Tensor norm2_weight_;
@@ -92,21 +91,6 @@ class TransformerLM : public tensor::Module {
   tensor::Tensor Logits(const std::vector<int>& tokens,
                         const ForwardOptions& options = {}) const;
 
-  /// Incremental (KV-cached) forward: runs `tokens` at positions
-  /// cache->tokens() .. cache->tokens() + T - 1 against the cached
-  /// key/value rows, appending the new rows to `cache`. Returns final-norm
-  /// hidden states for the NEW positions only, [T, D]. Inference-only (the
-  /// cache stores detached values); call under NoGradGuard — DecodeSession
-  /// wraps this. `options.trace` is not supported on this path.
-  tensor::Tensor HiddenIncremental(const std::vector<int>& tokens,
-                                   KvCache* cache,
-                                   const ForwardOptions& options = {}) const;
-
-  /// HiddenIncremental through the tied output head -> [T, V].
-  tensor::Tensor LogitsIncremental(const std::vector<int>& tokens,
-                                   KvCache* cache,
-                                   const ForwardOptions& options = {}) const;
-
   /// One row of a ragged batched forward: the row's NEW tokens plus the
   /// KvCache slot holding its previously cached K/V pages. Prefill rows
   /// carry whole prompts, decode rows carry a single token — mixed freely
@@ -116,28 +100,25 @@ class TransformerLM : public tensor::Module {
     size_t slot = 0;
   };
 
-  /// Ragged batched incremental forward: every row's new tokens run at
+  /// Ragged batched cached forward: every row's new tokens run at
   /// positions cache->tokens(row.slot) .. in ONE packed forward, appending
   /// each row's new K/V rows to its own slot. Returns packed final-norm
   /// hidden states [sum_T, D], rows in batch order (slice with
-  /// tensor::SliceRows). Each output row is bit-exact with the
-  /// single-sequence HiddenIncremental of that row alone (DESIGN.md §11).
-  /// Inference-only; call under NoGradGuard. Slots must be distinct; hooks,
-  /// prefix tuning and tracing are not supported on this path — the one
-  /// batched-safe extension point is an optional PositionWiseAdapter,
-  /// applied identically to EVERY row of the batch (rows pinned to
-  /// different adapter versions must go in separate calls; the scheduler
-  /// partitions by version, DESIGN.md §12).
+  /// tensor::SliceRows). Each output row is bit-exact with the matching
+  /// rows of the full-sequence Hidden over that row's whole sequence
+  /// (DESIGN.md §11). Inference-only; call under NoGradGuard. Slots must
+  /// be distinct. `options` applies to EVERY row: its hooks see the packed
+  /// sublayer inputs and must be position-wise (SequenceStateful() hooks
+  /// and `trace` are rejected), and a slot's first forward seeds it with
+  /// `options.prefix`.
   tensor::Tensor HiddenBatched(const std::vector<BatchRow>& rows,
                                KvCache* cache,
-                               const PositionWiseAdapter* adapter =
-                                   nullptr) const;
+                               const ForwardOptions& options = {}) const;
 
   /// HiddenBatched through the tied output head -> [sum_T, V].
   tensor::Tensor LogitsBatched(const std::vector<BatchRow>& rows,
                                KvCache* cache,
-                               const PositionWiseAdapter* adapter =
-                                   nullptr) const;
+                               const ForwardOptions& options = {}) const;
 
   /// Mean next-token cross entropy over positions >= loss_start (0 = whole
   /// sequence). Position t predicts tokens[t + 1]; with loss_start = p only

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -78,6 +80,10 @@ util::StatusOr<std::shared_ptr<const model::PositionWiseAdapter>> ReadAdapter(
     std::vector<float> up_w = reader.ReadFloatVector();
     std::vector<float> up_b = reader.ReadFloatVector();
     if (!reader.ok()) return corrupt("truncated layer block");
+    if (layer_index > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+      return corrupt("layer index " + std::to_string(layer_index) +
+                     " does not fit int");
+    }
     if (static_cast<int>(layer_index) <= previous_layer) {
       return corrupt("layer indices not ascending");
     }

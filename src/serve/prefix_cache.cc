@@ -16,7 +16,7 @@ struct CacheMetrics {
 CacheMetrics& Metrics() {
   // Resolved once under the magic-static guard; updates afterwards are
   // relaxed atomics, so Lookup/Insert publish without touching the
-  // registry lock (same idiom as EngineMetrics in decode_session.cc).
+  // registry lock (same idiom as EngineMetrics in batched_session.cc).
   static CacheMetrics* metrics = [] {
     obs::Registry& registry = obs::Registry::Get();
     return new CacheMetrics{registry.GetCounter("serve/evictions"),

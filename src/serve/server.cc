@@ -59,7 +59,7 @@ struct ServeMetrics {
 
 ServeMetrics& Metrics() {
   // Magic-static resolution, relaxed-atomic updates afterwards (the
-  // EngineMetrics idiom from decode_session.cc): the scheduler and
+  // EngineMetrics idiom from batched_session.cc): the scheduler and
   // fallback threads publish without the registry lock.
   static ServeMetrics* metrics = [] {
     obs::Registry& registry = obs::Registry::Get();
@@ -516,9 +516,25 @@ bool InferenceServer::HardCancel() {
   return false;
 }
 
-void InferenceServer::SwapAdapters(AdapterVersion version) {
+util::Status InferenceServer::SwapAdapters(AdapterVersion version) {
   std::shared_ptr<const AdapterVersion> next;
   if (version.adapter != nullptr) {
+    const model::TransformerConfig& config = lm_.config();
+    const model::PositionWiseAdapter& adapter = *version.adapter;
+    if (adapter.model_dim() != config.dim) {
+      return util::Status::InvalidArgument(
+          "adapter model_dim " + std::to_string(adapter.model_dim()) +
+          " does not match the model's " + std::to_string(config.dim));
+    }
+    for (const model::PositionWiseAdapter::LayerWeights& layer :
+         adapter.layers()) {
+      if (static_cast<size_t>(layer.layer) >= config.num_layers) {
+        return util::Status::InvalidArgument(
+            "adapter layer " + std::to_string(layer.layer) +
+            " is past the model's " + std::to_string(config.num_layers) +
+            " layers");
+      }
+    }
     next = std::make_shared<const AdapterVersion>(std::move(version));
   }
   uint64_t new_sequence = next != nullptr ? next->sequence : 0;
@@ -541,6 +557,7 @@ void InferenceServer::SwapAdapters(AdapterVersion version) {
       metrics.swap_prefix_invalidations->Increment(invalidated);
     }
   }
+  return util::Status::OK();
 }
 
 uint64_t InferenceServer::active_adapter_sequence() const {

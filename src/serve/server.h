@@ -227,8 +227,10 @@ class InferenceServer {
   /// the PrefixCache switches to the new generation and drops the replaced
   /// one's prefixes. Pass a default AdapterVersion{} (null adapter) to
   /// swap back to the base model. Callable any time, including under full
-  /// load and before/after Shutdown().
-  void SwapAdapters(AdapterVersion version) EXCLUDES(mu_);
+  /// load and before/after Shutdown(). An adapter that does not fit the
+  /// model (model_dim differs, or an adapted layer the model lacks) is
+  /// rejected with kInvalidArgument and the active version stays.
+  util::Status SwapAdapters(AdapterVersion version) EXCLUDES(mu_);
 
   /// Sequence of the version new admissions currently pin (0 = base).
   uint64_t active_adapter_sequence() const EXCLUDES(mu_);

@@ -13,7 +13,7 @@ namespace {
 
 using internal::TensorImpl;
 
-// Ragged attention batches below this many multiply-adds run inline:
+// Ragged attention calls below this many multiply-adds run inline:
 // thread-pool dispatch (schedule + wait) costs more than the arithmetic.
 constexpr size_t kAttentionParallelMinWork = 1 << 15;
 
@@ -58,6 +58,40 @@ BroadcastKind CheckBroadcast(const Tensor& a, const Tensor& b,
       << op_name << ": incompatible shapes " << ShapeToString(a.shape())
       << " vs " << ShapeToString(b.shape());
   return BroadcastKind::kSuffix;
+}
+
+/// One (head, query row) of causal attention, shared by both attention
+/// kernels so a row's arithmetic does not depend on which one ran it.
+/// `kp`/`vp` point at the head's first column of key/value row 0 (row
+/// stride `d`); the first `limit` keys are visible. Scores go to `arow`
+/// (max-shifted softmax, ascending key order), then the weighted value
+/// sum accumulates into `orow`. Entries of `arow` past `limit` are left
+/// untouched, so masked entries of a zeroed buffer stay exactly zero.
+void AttendQueryRow(const float* qrow, const float* kp, const float* vp,
+                    size_t d, size_t dh, size_t limit, float scale,
+                    float* arow, float* orow) {
+  float mx = -1e30f;
+  for (size_t j = 0; j < limit; ++j) {
+    const float* krow = kp + j * d;
+    float s = 0.0f;
+    for (size_t c = 0; c < dh; ++c) s += qrow[c] * krow[c];
+    s *= scale;
+    arow[j] = s;
+    mx = std::max(mx, s);
+  }
+  float sum = 0.0f;
+  for (size_t j = 0; j < limit; ++j) {
+    arow[j] = std::exp(arow[j] - mx);
+    sum += arow[j];
+  }
+  float inv = 1.0f / sum;
+  for (size_t j = 0; j < limit; ++j) arow[j] *= inv;
+  for (size_t j = 0; j < limit; ++j) {
+    float a = arow[j];
+    if (a == 0.0f) continue;
+    const float* vrow = vp + j * d;
+    for (size_t c = 0; c < dh; ++c) orow[c] += a * vrow[c];
+  }
 }
 
 // Elementwise unary op with pointwise derivative computed from saved
@@ -419,84 +453,6 @@ Tensor RmsNorm(const Tensor& x, const Tensor& weight, float eps) {
       });
 }
 
-Tensor LayerNorm(const Tensor& x, const Tensor& weight, const Tensor& bias,
-                 float eps) {
-  CHECK_EQ(x.rank(), size_t{2});
-  size_t rows = x.dim(0), cols = x.dim(1);
-  CHECK_EQ(weight.size(), cols);
-  CHECK_EQ(bias.size(), cols);
-  std::vector<float> out(x.size());
-  auto saved = std::make_shared<std::vector<float>>(rows * 2);  // mean, inv
-  const float* in = x.data();
-  const float* w = weight.data();
-  const float* b = bias.data();
-  for (size_t r = 0; r < rows; ++r) {
-    const float* xr = in + r * cols;
-    float mean = 0.0f;
-    for (size_t c = 0; c < cols; ++c) mean += xr[c];
-    mean /= static_cast<float>(cols);
-    float var = 0.0f;
-    for (size_t c = 0; c < cols; ++c) {
-      float d = xr[c] - mean;
-      var += d * d;
-    }
-    var /= static_cast<float>(cols);
-    float inv = 1.0f / std::sqrt(var + eps);
-    (*saved)[2 * r] = mean;
-    (*saved)[2 * r + 1] = inv;
-    float* yr = out.data() + r * cols;
-    for (size_t c = 0; c < cols; ++c) {
-      yr[c] = (xr[c] - mean) * inv * w[c] + b[c];
-    }
-  }
-  return Tensor::MakeOpResult(
-      x.shape(), std::move(out), {x, weight, bias},
-      [x, weight, bias, rows, cols, saved](TensorImpl* result) {
-        result->backward_fn = [x, weight, bias, rows, cols, saved,
-                               result]() {
-          const float* g = result->grad.data();
-          const float* in = x.data();
-          const float* w = weight.data();
-          float* wg = weight.requires_grad() ? weight.impl()->MutableGrad()
-                                             : nullptr;
-          float* bg =
-              bias.requires_grad() ? bias.impl()->MutableGrad() : nullptr;
-          float* xg = x.requires_grad() ? x.impl()->MutableGrad() : nullptr;
-          for (size_t r = 0; r < rows; ++r) {
-            const float* xr = in + r * cols;
-            const float* gr = g + r * cols;
-            float mean = (*saved)[2 * r];
-            float inv = (*saved)[2 * r + 1];
-            if (bg != nullptr) {
-              for (size_t c = 0; c < cols; ++c) bg[c] += gr[c];
-            }
-            if (wg != nullptr) {
-              for (size_t c = 0; c < cols; ++c) {
-                wg[c] += gr[c] * (xr[c] - mean) * inv;
-              }
-            }
-            if (xg != nullptr) {
-              float sum_dxh = 0.0f, sum_dxh_xh = 0.0f;
-              for (size_t c = 0; c < cols; ++c) {
-                float xh = (xr[c] - mean) * inv;
-                float dxh = gr[c] * w[c];
-                sum_dxh += dxh;
-                sum_dxh_xh += dxh * xh;
-              }
-              float n = static_cast<float>(cols);
-              float* xgr = xg + r * cols;
-              for (size_t c = 0; c < cols; ++c) {
-                float xh = (xr[c] - mean) * inv;
-                float dxh = gr[c] * w[c];
-                xgr[c] +=
-                    inv * (dxh - sum_dxh / n - xh * sum_dxh_xh / n);
-              }
-            }
-          }
-        };
-      });
-}
-
 Tensor EmbeddingLookup(const Tensor& table, const std::vector<int>& ids) {
   CHECK_EQ(table.rank(), size_t{2});
   CHECK(!ids.empty());
@@ -789,33 +745,9 @@ Tensor CausalSelfAttention(const Tensor& q, const Tensor& k, const Tensor& v,
       size_t off = h * dh;
       float* ah = attn->data() + h * tq * tk;
       for (size_t i = 0; i < tq; ++i) {
-        size_t limit = prefix_len + i + 1;  // keys visible to query i
-        float* arow = ah + i * tk;
-        const float* qrow = qp + i * d + off;
-        float mx = -1e30f;
-        for (size_t j = 0; j < limit; ++j) {
-          const float* krow = kp + j * d + off;
-          float s = 0.0f;
-          for (size_t c = 0; c < dh; ++c) s += qrow[c] * krow[c];
-          s *= scale;
-          arow[j] = s;
-          mx = std::max(mx, s);
-        }
-        float sum = 0.0f;
-        for (size_t j = 0; j < limit; ++j) {
-          arow[j] = std::exp(arow[j] - mx);
-          sum += arow[j];
-        }
-        float inv = 1.0f / sum;
-        for (size_t j = 0; j < limit; ++j) arow[j] *= inv;
-        // Masked entries stay exactly zero.
-        float* orow = out.data() + i * d + off;
-        for (size_t j = 0; j < limit; ++j) {
-          float a = arow[j];
-          if (a == 0.0f) continue;
-          const float* vrow = vp + j * d + off;
-          for (size_t c = 0; c < dh; ++c) orow[c] += a * vrow[c];
-        }
+        AttendQueryRow(qp + i * d + off, kp + off, vp + off, d, dh,
+                       prefix_len + i + 1, scale, ah + i * tk,
+                       out.data() + i * d + off);
       }
     }
   });
@@ -915,65 +847,39 @@ Tensor CausalSelfAttentionRagged(const Tensor& q,
   }
   CHECK_EQ(q.dim(0), total);
 
-  std::vector<float> out(total * d, 0.0f);
-  const float* qp_all = q.data();
-  auto attend_row = [&](size_t r) {
-    size_t tq = row_lens[r];
-    size_t tk = keys[r].dim(0);
-    size_t prefix_len = tk - tq;
+  size_t total_work = 0;
+  for (size_t r = 0; r < row_lens.size(); ++r) {
+    size_t work = 4 * row_lens[r] * keys[r].dim(0) * d;
     Metrics().attention_ops->Increment();
-    Metrics().attention_flops->Increment(4 * tq * tk * d);
-    const float* qp = qp_all + row_offsets[r] * d;
-    const float* kp = keys[r].data();
-    const float* vp = values[r].data();
-    float* op = out.data() + row_offsets[r] * d;
-    // Identical loop structure (and therefore accumulation order) to
-    // CausalSelfAttention: per head, per query row, scan visible keys
-    // ascending, max-shifted softmax, then the weighted value sum.
-    std::vector<float> arow(tk);
-    for (size_t h = 0; h < num_heads; ++h) {
-      size_t off = h * dh;
+    Metrics().attention_flops->Increment(work);
+    total_work += work;
+  }
+
+  // Work items are (row, head) pairs with disjoint output blocks, so how
+  // they are split across threads never changes a row's result.
+  std::vector<float> out(total * d, 0.0f);
+  auto attend_pairs = [&](size_t begin, size_t end) {
+    std::vector<float> arow;
+    for (size_t pair = begin; pair < end; ++pair) {
+      size_t r = pair / num_heads;
+      size_t off = (pair % num_heads) * dh;
+      size_t tq = row_lens[r];
+      size_t tk = keys[r].dim(0);
+      arow.resize(tk);
+      const float* qp = q.data() + row_offsets[r] * d + off;
+      float* op = out.data() + row_offsets[r] * d + off;
       for (size_t i = 0; i < tq; ++i) {
-        size_t limit = prefix_len + i + 1;  // keys visible to query i
-        const float* qrow = qp + i * d + off;
-        float mx = -1e30f;
-        for (size_t j = 0; j < limit; ++j) {
-          const float* krow = kp + j * d + off;
-          float s = 0.0f;
-          for (size_t c = 0; c < dh; ++c) s += qrow[c] * krow[c];
-          s *= scale;
-          arow[j] = s;
-          mx = std::max(mx, s);
-        }
-        float sum = 0.0f;
-        for (size_t j = 0; j < limit; ++j) {
-          arow[j] = std::exp(arow[j] - mx);
-          sum += arow[j];
-        }
-        float inv = 1.0f / sum;
-        for (size_t j = 0; j < limit; ++j) arow[j] *= inv;
-        float* orow = op + i * d + off;
-        for (size_t j = 0; j < limit; ++j) {
-          float a = arow[j];
-          if (a == 0.0f) continue;
-          const float* vrow = vp + j * d + off;
-          for (size_t c = 0; c < dh; ++c) orow[c] += a * vrow[c];
-        }
+        AttendQueryRow(qp + i * d, keys[r].data() + off,
+                       values[r].data() + off, d, dh, tk - tq + i + 1, scale,
+                       arow.data(), op + i * d);
       }
     }
   };
-  // Small batches run the rows inline: dispatching one pool task per row
-  // costs more than the attention arithmetic itself at toy dims. Rows are
-  // independent (disjoint output blocks), so inline-vs-pool never changes
-  // the per-row accumulation order or the result.
-  size_t total_work = 0;
-  for (size_t r = 0; r < row_lens.size(); ++r) {
-    total_work += 4 * row_lens[r] * keys[r].dim(0) * d;
-  }
-  if (row_lens.size() == 1 || total_work < kAttentionParallelMinWork) {
-    for (size_t r = 0; r < row_lens.size(); ++r) attend_row(r);
+  size_t pairs = row_lens.size() * num_heads;
+  if (total_work < kAttentionParallelMinWork) {
+    attend_pairs(0, pairs);
   } else {
-    util::ParallelForEach(row_lens.size(), attend_row);
+    util::ParallelFor(pairs, 1, attend_pairs);
   }
   return Tensor::FromData({total, d}, std::move(out));
 }

@@ -60,10 +60,6 @@ Tensor Softmax(const Tensor& a);
 /// input normalized independently. `weight` has shape {D}.
 Tensor RmsNorm(const Tensor& x, const Tensor& weight, float eps = 1e-5f);
 
-/// LayerNorm over the last dimension with affine parameters {D}.
-Tensor LayerNorm(const Tensor& x, const Tensor& weight, const Tensor& bias,
-                 float eps = 1e-5f);
-
 // -- Indexing --------------------------------------------------------------
 
 /// Gathers rows `ids` of `table` [V, D] -> [ids.size(), D]. Backward
@@ -127,8 +123,10 @@ Tensor CausalSelfAttention(const Tensor& q, const Tensor& k, const Tensor& v,
 /// arithmetic identical to CausalSelfAttention(q_r, keys[r], values[r],
 /// num_heads, prefix_r) — same scan order, same softmax — so the packed
 /// result is, row for row, bit-identical to per-sequence kernel calls.
-/// Rows fan out over the global thread pool. Inference-only: requires grad
-/// recording to be off (no backward pass is defined).
+/// (row, head) pairs fan out over the global thread pool once the call's
+/// multiply-adds pass a fixed threshold; smaller calls run inline.
+/// Inference-only: requires grad recording to be off (no backward pass is
+/// defined).
 Tensor CausalSelfAttentionRagged(const Tensor& q,
                                  const std::vector<Tensor>& keys,
                                  const std::vector<Tensor>& values,

@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "tensor/tensor.h"
 #include "util/fault.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 
 namespace infuserki::serve {
 namespace {
@@ -113,12 +115,13 @@ TEST_F(AdapterRegistryTest, ExportMatchesStackDeltasExactly) {
     inputs.push_back(tensor::Tensor::Randn({3, kDim}, &rng));
   }
   stack.BeginForward();
-  model::PositionWiseAdapter::ChainState chain;
+  model::PositionWiseAdapterHook hook(adapter.value().get());
+  hook.BeginForward();
   for (size_t l = 0; l < kLayers; ++l) {
     tensor::Tensor from_stack =
         stack.FfnDelta(static_cast<int>(l), inputs[l]);
     tensor::Tensor from_export =
-        adapter.value()->Delta(static_cast<int>(l), inputs[l], &chain);
+        hook.FfnDelta(static_cast<int>(l), inputs[l]);
     ASSERT_EQ(from_stack.defined(), from_export.defined()) << "layer " << l;
     if (!from_stack.defined()) continue;
     // Exact float equality: the export must be the same arithmetic, not an
@@ -126,6 +129,57 @@ TEST_F(AdapterRegistryTest, ExportMatchesStackDeltasExactly) {
     EXPECT_EQ(from_stack.impl()->data, from_export.impl()->data)
         << "layer " << l;
   }
+}
+
+TEST_F(AdapterRegistryTest, FindLocatesSparseLayersWithoutDenseTable) {
+  // The largest index an int holds must cost one table entry, not 2^31.
+  const int far = std::numeric_limits<int>::max();
+  std::vector<model::PositionWiseAdapter::LayerWeights> layers(2);
+  layers[0].layer = 2;
+  layers[1].layer = far;
+  for (model::PositionWiseAdapter::LayerWeights& w : layers) {
+    w.down_weight = tensor::Tensor::Zeros({4, kDim});
+    w.down_bias = tensor::Tensor::Zeros({4});
+    w.up_weight = tensor::Tensor::Zeros({kDim, 4});
+    w.up_bias = tensor::Tensor::Zeros({kDim});
+  }
+  model::PositionWiseAdapter adapter(kDim, 4, model::AdapterAttachment::kFfn,
+                                     std::move(layers));
+  ASSERT_NE(adapter.Find(2), nullptr);
+  EXPECT_EQ(adapter.Find(2)->layer, 2);
+  ASSERT_NE(adapter.Find(far), nullptr);
+  EXPECT_EQ(adapter.Find(far)->layer, far);
+  for (int layer : {-1, 0, 1, 3, far - 1}) {
+    EXPECT_EQ(adapter.Find(layer), nullptr) << "layer " << layer;
+  }
+}
+
+TEST_F(AdapterRegistryTest, LayerIndexPastIntIsQuarantined) {
+  std::string dir = FreshDir("wide_layer");
+  AdapterRegistry registry(dir, {.max_attempts = 1, .base_delay_ms = 1});
+  auto good = registry.Publish(Export(71));
+  ASSERT_TRUE(good.ok()) << good.status();
+
+  // A CRC-valid version 2 whose one layer index is 2^32 + 1: cast to int
+  // it would silently become layer 1.
+  {
+    util::BinaryWriter writer(registry.VersionPath(2));
+    writer.WriteU32(0x41445054);  // "ADPT" payload magic
+    writer.WriteU32(0);           // AdapterAttachment::kFfn
+    writer.WriteU64(kDim);
+    writer.WriteU64(4);  // bottleneck
+    writer.WriteU64(1);  // adapted layers
+    writer.WriteU64((uint64_t{1} << 32) + 1);
+    writer.WriteFloatVector(std::vector<float>(4 * kDim, 0.0f));
+    writer.WriteFloatVector(std::vector<float>(4, 0.0f));
+    writer.WriteFloatVector(std::vector<float>(kDim * 4, 0.0f));
+    writer.WriteFloatVector(std::vector<float>(kDim, 0.0f));
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  auto loaded = registry.LoadLatest();
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded.value().sequence, uint64_t{1});
+  EXPECT_TRUE(std::filesystem::exists(registry.VersionPath(2) + ".corrupt"));
 }
 
 TEST_F(AdapterRegistryTest, PublishLoadRoundTripIsBitExact) {

@@ -111,14 +111,6 @@ TEST(GradCheck, RmsNorm) {
                        {x, w});
 }
 
-TEST(GradCheck, LayerNorm) {
-  Tensor x = RandInput({3, 6}, 24);
-  Tensor w = RandInput({6}, 25);
-  Tensor b = RandInput({6}, 26);
-  ExpectGradientsMatch(
-      [&] { return SumAll(Mul(LayerNorm(x, w, b), x)); }, {x, w, b});
-}
-
 TEST(GradCheck, EmbeddingLookup) {
   Tensor table = RandInput({7, 4}, 27);
   std::vector<int> ids = {2, 5, 2, 0};

@@ -4,17 +4,19 @@
 #include <vector>
 
 #include "core/adapter_stack.h"
-#include "model/decode_session.h"
+#include "model/batched_session.h"
 #include "model/generation.h"
 #include "model/transformer.h"
 #include "text/tokenizer.h"
 #include "util/rng.h"
 
-// Bit-exactness suite for the KV-cache inference engine (DESIGN.md §7):
-// every cached forward must reproduce the full-sequence forward
-// byte-for-byte, across chunkings, prompt lengths, hooks, and prefix
-// tuning. All comparisons are exact float equality on purpose — "close
-// enough" would hide order-of-operations drift between the two paths.
+// Bit-exactness suite for the KV-cache inference engine (DESIGN.md §7),
+// driven as single-sequence decode runs it — a one-slot
+// BatchedDecodeSession: every cached forward must reproduce the
+// full-sequence forward byte-for-byte, across chunkings, prompt lengths,
+// hooks, and prefix tuning. All comparisons are exact float equality on
+// purpose — "close enough" would hide order-of-operations drift between
+// the two paths.
 
 namespace infuserki::model {
 namespace {
@@ -119,6 +121,32 @@ double SequenceLogProbReference(const TransformerLM& lm,
   return total;
 }
 
+/// One-slot session: the engine's single-sequence configuration.
+class OneSlot {
+ public:
+  explicit OneSlot(const TransformerLM& lm, const ForwardOptions& options = {})
+      : session_(lm, 1, options), slot_(session_.AcquireSlot()) {}
+
+  /// Extends the sequence with `tokens`; returns their logits [T, V].
+  Tensor Feed(const std::vector<int>& tokens) {
+    return session_.Step({{slot_, tokens}})[0];
+  }
+
+  size_t tokens() const { return session_.tokens(slot_); }
+  BatchedDecodeSession::SlotSnapshot Snapshot() const {
+    return session_.Snapshot(slot_);
+  }
+  void Restore(const BatchedDecodeSession::SlotSnapshot& snapshot) {
+    session_.ReleaseSlot(slot_);
+    slot_ = session_.AcquireSlot();
+    session_.Restore(slot_, snapshot);
+  }
+
+ private:
+  BatchedDecodeSession session_;
+  size_t slot_;
+};
+
 class KvCacheTest : public ::testing::Test {
  protected:
   KvCacheTest() : rng_(7), lm_(SmallConfig(), &rng_) {}
@@ -133,8 +161,8 @@ TEST_F(KvCacheTest, PrefillMatchesFullForwardAtEveryPromptLength) {
   for (size_t length = 1; length <= max; ++length) {
     std::vector<int> tokens = RandomTokens(length, /*seed=*/length);
     Tensor full = lm_.Logits(tokens);
-    DecodeSession session(lm_);
-    Tensor cached = session.Prefill(tokens);
+    OneSlot session(lm_);
+    Tensor cached = session.Feed(tokens);
     ExpectBitIdentical(full, cached);
   }
 }
@@ -143,9 +171,9 @@ TEST_F(KvCacheTest, SingleTokenDecodeMatchesFullForwardRows) {
   NoGradGuard no_grad;
   std::vector<int> tokens = RandomTokens(lm_.config().max_seq_len, 11);
   Tensor full = lm_.Logits(tokens);
-  DecodeSession session(lm_);
+  OneSlot session(lm_);
   for (size_t t = 0; t < tokens.size(); ++t) {
-    Tensor step = session.Decode(tokens[t]);
+    Tensor step = session.Feed({tokens[t]});
     ASSERT_EQ(step.dim(0), size_t{1});
     ExpectRowsBitIdentical(full, t, step);
   }
@@ -157,13 +185,13 @@ TEST_F(KvCacheTest, ChunkSplitPointDoesNotChangeLogits) {
   std::vector<int> tokens = RandomTokens(17, 13);
   Tensor full = lm_.Logits(tokens);
   for (size_t split = 1; split < tokens.size(); ++split) {
-    DecodeSession session(lm_);
+    OneSlot session(lm_);
     std::vector<int> head(tokens.begin(),
                           tokens.begin() + static_cast<long>(split));
     std::vector<int> tail(tokens.begin() + static_cast<long>(split),
                           tokens.end());
-    Tensor head_logits = session.Prefill(head);
-    Tensor tail_logits = session.Prefill(tail);
+    Tensor head_logits = session.Feed(head);
+    Tensor tail_logits = session.Feed(tail);
     ExpectRowsBitIdentical(full, 0, head_logits);
     ExpectRowsBitIdentical(full, split, tail_logits);
   }
@@ -207,12 +235,12 @@ TEST_F(KvCacheTest, AdapterHookParity) {
   NoGradGuard no_grad;
   std::vector<int> tokens = RandomTokens(14, 29);
   Tensor full = lm_.Logits(tokens, options);
-  DecodeSession session(lm_, options);
+  OneSlot session(lm_, options);
   std::vector<int> head(tokens.begin(), tokens.begin() + 9);
-  Tensor head_logits = session.Prefill(head);
+  Tensor head_logits = session.Feed(head);
   ExpectRowsBitIdentical(full, 0, head_logits);
   for (size_t t = 9; t < tokens.size(); ++t) {
-    ExpectRowsBitIdentical(full, t, session.Decode(tokens[t]));
+    ExpectRowsBitIdentical(full, t, session.Feed({tokens[t]}));
   }
 
   std::vector<int> prompt = RandomTokens(4, 31);
@@ -240,8 +268,8 @@ TEST_F(KvCacheTest, AttentionPlacementAdapterParity) {
   NoGradGuard no_grad;
   std::vector<int> tokens = RandomTokens(12, 41);
   Tensor full = lm_.Logits(tokens, options);
-  DecodeSession session(lm_, options);
-  Tensor cached = session.Prefill(tokens);
+  OneSlot session(lm_, options);
+  Tensor cached = session.Feed(tokens);
   ExpectBitIdentical(full, cached);
 }
 
@@ -263,11 +291,11 @@ TEST_F(KvCacheTest, PrefixTuningParity) {
   NoGradGuard no_grad;
   std::vector<int> tokens = RandomTokens(10, 47);
   Tensor full = lm_.Logits(tokens, options);
-  DecodeSession session(lm_, options);
+  OneSlot session(lm_, options);
   std::vector<int> head(tokens.begin(), tokens.begin() + 6);
-  ExpectRowsBitIdentical(full, 0, session.Prefill(head));
+  ExpectRowsBitIdentical(full, 0, session.Feed(head));
   for (size_t t = 6; t < tokens.size(); ++t) {
-    ExpectRowsBitIdentical(full, t, session.Decode(tokens[t]));
+    ExpectRowsBitIdentical(full, t, session.Feed({tokens[t]}));
   }
 }
 
@@ -307,22 +335,25 @@ TEST_F(KvCacheTest, ScoreOptionsMatchesPerOptionReference) {
   }
 }
 
-TEST_F(KvCacheTest, RewindReproducesBitIdenticalLogits) {
+TEST_F(KvCacheTest, RestoreReproducesBitIdenticalLogits) {
   NoGradGuard no_grad;
   std::vector<int> prompt = RandomTokens(6, 67);
   std::vector<int> continuation_a = RandomTokens(4, 71);
   std::vector<int> continuation_b = RandomTokens(5, 73);
 
-  DecodeSession session(lm_, {});
-  session.Prefill(prompt);
-  DecodeSession::Checkpoint mark = session.Save();
-  Tensor first = session.Prefill(continuation_a);
-  session.Rewind(mark);
+  OneSlot session(lm_);
+  session.Feed(prompt);
+  BatchedDecodeSession::SlotSnapshot mark = session.Snapshot();
+  Tensor first = session.Feed(continuation_a);
+  session.Restore(mark);
   EXPECT_EQ(session.tokens(), prompt.size());
-  session.Prefill(continuation_b);  // pollute, then rewind again
-  session.Rewind(mark);
-  Tensor second = session.Prefill(continuation_a);
+  session.Feed(continuation_b);  // pollute, then restore again
+  session.Restore(mark);
+  Tensor second = session.Feed(continuation_a);
   ExpectBitIdentical(first, second);
+  std::vector<int> full = prompt;
+  full.insert(full.end(), continuation_a.begin(), continuation_a.end());
+  ExpectRowsBitIdentical(lm_.Logits(full), prompt.size(), second);
 }
 
 TEST_F(KvCacheTest, GatedAdapterRoutesToFullRecompute) {
@@ -356,29 +387,42 @@ TEST_F(KvCacheTest, SessionRejectsSequenceStatefulHook) {
                                     adapter_options);
   ForwardOptions options;
   options.ffn_hook = &stack;
-  EXPECT_DEATH(DecodeSession(lm_, options), "sequence-stateful");
+  EXPECT_DEATH(BatchedDecodeSession(lm_, 1, options), "sequence-stateful");
 }
 
 TEST_F(KvCacheTest, CacheTracksPrefixRowsSeparately) {
   PrefixKv prefix;
   prefix.prefix_len = 2;
+  util::Rng prefix_rng(87);
   for (size_t l = 0; l < lm_.config().num_layers; ++l) {
-    prefix.keys.push_back(
-        Tensor::Zeros({prefix.prefix_len, lm_.config().dim}));
-    prefix.values.push_back(
-        Tensor::Zeros({prefix.prefix_len, lm_.config().dim}));
+    prefix.keys.push_back(Tensor::RandUniform(
+        {prefix.prefix_len, lm_.config().dim}, &prefix_rng, -0.3f, 0.3f));
+    prefix.values.push_back(Tensor::RandUniform(
+        {prefix.prefix_len, lm_.config().dim}, &prefix_rng, -0.3f, 0.3f));
   }
   ForwardOptions options;
   options.prefix = &prefix;
   NoGradGuard no_grad;
+  std::vector<int> tokens = RandomTokens(5, 89);
   KvCache cache(lm_.config().num_layers);
-  lm_.LogitsIncremental(RandomTokens(5, 89), &cache, options);
+  lm_.LogitsBatched({{&tokens, 0}}, &cache, options);
   EXPECT_EQ(cache.tokens(), size_t{5});
   EXPECT_EQ(cache.prefix_rows(), size_t{2});
   EXPECT_EQ(cache.layer(0)->rows(), size_t{7});
-  cache.TruncateTokens(1);
-  EXPECT_EQ(cache.tokens(), size_t{1});
-  EXPECT_EQ(cache.layer(0)->rows(), size_t{3});
+
+  // A snapshot carries the prefix rows, and a restored slot continues
+  // exactly where the prefix-tuned full forward does.
+  OneSlot session(lm_, options);
+  std::vector<int> head(tokens.begin(), tokens.begin() + 3);
+  session.Feed(head);
+  BatchedDecodeSession::SlotSnapshot mark = session.Snapshot();
+  EXPECT_EQ(mark.tokens, size_t{3});
+  EXPECT_EQ(mark.prefix_rows, size_t{2});
+  session.Feed({tokens[3]});
+  session.Restore(mark);
+  EXPECT_EQ(session.tokens(), size_t{3});
+  std::vector<int> tail(tokens.begin() + 3, tokens.end());
+  ExpectRowsBitIdentical(lm_.Logits(tokens, options), 3, session.Feed(tail));
 }
 
 }  // namespace

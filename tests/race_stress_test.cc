@@ -10,7 +10,7 @@
 
 #include <memory>
 
-#include "model/decode_session.h"
+#include "model/batched_session.h"
 #include "model/generation.h"
 #include "model/transformer.h"
 #include "obs/exporter.h"
@@ -278,7 +278,8 @@ TEST(RaceStress, FaultRegistryConcurrentHits) {
 // ---------------------------------------------------------------------------
 // Parallel MCQ decode: the production eval pattern — ParallelForEach fans
 // MCQ scoring out over the global pool, each task running its own
-// DecodeSession (prefill + save/rewind churn) against one shared model.
+// one-slot BatchedDecodeSession (prefill + snapshot/restore churn) against
+// one shared model.
 // The model weights are shared read-only; obs engine metrics are the shared
 // mutable state.
 TEST(RaceStress, ParallelMcqDecodeSharedModel) {
@@ -299,30 +300,28 @@ TEST(RaceStress, ParallelMcqDecodeSharedModel) {
   // Reference scores from a single-threaded pass; the parallel fan-out
   // must reproduce them bit-exactly (shared weights are read-only, all
   // per-sequence state lives in each task's private session).
+  auto prefill_and_restore = [&](const std::vector<int>& continuation) {
+    model::BatchedDecodeSession session(lm, 1);
+    size_t slot = session.AcquireSlot();
+    session.Step({{slot, prompt}});
+    model::BatchedDecodeSession::SlotSnapshot mark = session.Snapshot(slot);
+    session.Step({{slot, continuation}});
+    session.ReleaseSlot(slot);
+    slot = session.AcquireSlot();
+    session.Restore(slot, mark);
+  };
   std::vector<double> expected;
-  {
-    tensor::NoGradGuard no_grad;
-    model::DecodeSession session(lm);
-    session.Prefill(prompt);
-    model::DecodeSession::Checkpoint mark = session.Save();
-    for (const std::vector<int>& continuation : continuations) {
-      double lp = model::SequenceLogProb(lm, prompt, continuation);
-      session.Rewind(mark);
-      expected.push_back(lp);
-    }
+  for (const std::vector<int>& continuation : continuations) {
+    prefill_and_restore(continuation);
+    expected.push_back(model::SequenceLogProb(lm, prompt, continuation));
   }
 
   constexpr size_t kTasks = kThreads * 4;
   std::vector<double> scores(kTasks);
   util::ParallelForEach(kTasks, [&](size_t task) {
-    tensor::NoGradGuard no_grad;
-    model::DecodeSession session(lm);
-    session.Prefill(prompt);
-    model::DecodeSession::Checkpoint mark = session.Save();
     const std::vector<int>& continuation =
         continuations[task % continuations.size()];
-    session.Prefill(continuation);
-    session.Rewind(mark);
+    prefill_and_restore(continuation);
     scores[task] = model::SequenceLogProb(lm, prompt, continuation);
   });
   for (size_t task = 0; task < kTasks; ++task) {

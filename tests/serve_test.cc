@@ -8,6 +8,7 @@
 #include <chrono>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -504,6 +505,57 @@ TEST_F(ServeFixture, SwapAdaptersServesPinnedVersionBitExact) {
   EXPECT_EQ(back.adapter_sequence, uint64_t{0});
   EXPECT_TRUE(back.prefix_hit);
   EXPECT_EQ(back.tokens, Reference(prompt, 8));
+}
+
+/// Adapter adapting `layer` alone, with small nonzero weights of width
+/// `dim`.
+std::shared_ptr<const model::PositionWiseAdapter> OneLayerAdapter(size_t dim,
+                                                                  int layer) {
+  util::Rng rng(static_cast<uint64_t>(dim) * 31 + 7);
+  std::vector<model::PositionWiseAdapter::LayerWeights> layers(1);
+  layers[0].layer = layer;
+  layers[0].down_weight = tensor::Tensor::Randn({4, dim}, &rng, 0.1f);
+  layers[0].down_bias = tensor::Tensor::Randn({4}, &rng, 0.1f);
+  layers[0].up_weight = tensor::Tensor::Randn({dim, 4}, &rng, 0.1f);
+  layers[0].up_bias = tensor::Tensor::Randn({dim}, &rng, 0.1f);
+  return std::make_shared<const model::PositionWiseAdapter>(
+      dim, 4, model::AdapterAttachment::kFfn, std::move(layers));
+}
+
+// An adapter that does not fit the model is refused at the swap: the
+// active version stays, and requests keep being served under it instead
+// of aborting the server at their first forward.
+TEST_F(ServeFixture, SwapAdaptersRejectsAdapterThatDoesNotFitModel) {
+  ServeOptions options;
+  options.max_batch_rows = 2;
+  options.kv_budget_tokens = 256;
+  InferenceServer server(*lm_, *tokenizer_, options);
+  const size_t dim = lm_->config().dim;
+  const int layers = static_cast<int>(lm_->config().num_layers);
+  AdapterVersion fits{1, "", OneLayerAdapter(dim, layers - 1)};
+  ASSERT_TRUE(server.SwapAdapters(fits).ok());
+
+  const std::vector<AdapterVersion> misfits = {
+      {2, "", OneLayerAdapter(dim + 2, 0)},
+      {3, "", OneLayerAdapter(dim, layers)},
+      {4, "", OneLayerAdapter(dim, std::numeric_limits<int>::max())},
+  };
+  for (const AdapterVersion& misfit : misfits) {
+    util::Status status = server.SwapAdapters(misfit);
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument)
+        << "version " << misfit.sequence << ": " << status;
+    EXPECT_EQ(server.active_adapter_sequence(), uint64_t{1});
+  }
+
+  const std::string prompt = "alpha beta gamma";
+  model::PositionWiseAdapterHook hook(fits.adapter.get());
+  Response served = server.Run({prompt, 8});
+  ASSERT_TRUE(served.status.ok()) << served.status;
+  EXPECT_EQ(served.adapter_sequence, uint64_t{1});
+  EXPECT_EQ(served.tokens,
+            model::GreedyDecode(*lm_,
+                                tokenizer_->EncodeWithSpecials(prompt, false),
+                                8, hook.Options()));
 }
 
 TEST(PrefixCacheUnit, LookupSharesWithoutRemoving) {
