@@ -59,8 +59,9 @@ struct ServeMetrics {
 
 ServeMetrics& Metrics() {
   // Magic-static resolution, relaxed-atomic updates afterwards (the
-  // EngineMetrics idiom from batched_session.cc): the scheduler and
-  // fallback threads publish without the registry lock.
+  // EngineMetrics idiom from batched_session.cc): Submit() callers and the
+  // scheduler, watchdog and exporter threads publish without the registry
+  // lock.
   static ServeMetrics* metrics = [] {
     obs::Registry& registry = obs::Registry::Get();
     return new ServeMetrics{
@@ -306,7 +307,6 @@ InferenceServer::InferenceServer(const model::TransformerLM& lm,
     return;
   }
   scheduler_ = std::thread(&InferenceServer::SchedulerLoop, this);
-  fallback_ = std::thread(&InferenceServer::FallbackLoop, this);
   watchdog_ = std::thread(&InferenceServer::WatchdogLoop, this);
   if (options_.exporter.period.count() > 0) {
     // The server owns the export thread and chains its queue-depth
@@ -471,8 +471,22 @@ void InferenceServer::Shutdown() {
     }
   }
   work_ready_.NotifyAll();
-  fallback_ready_.NotifyAll();
-  for (AdmissionController::Entry& entry : orphaned) {
+  CancelQueued(std::move(orphaned));
+  if (scheduler_.joinable()) scheduler_.join();
+  {
+    util::MutexLock lock(mu_);
+    watchdog_stop_ = true;
+  }
+  watchdog_cv_.NotifyAll();
+  if (watchdog_.joinable()) watchdog_.join();
+  // After the last request resolved: one final flush so short-lived
+  // servers still leave a complete record, then the thread stops.
+  if (exporter_ != nullptr) exporter_->Stop();
+}
+
+void InferenceServer::CancelQueued(
+    std::vector<AdmissionController::Entry> entries) {
+  for (AdmissionController::Entry& entry : entries) {
     std::unique_ptr<Job> job(static_cast<Job*>(entry.item.release()));
     Metrics().cancelled->Increment();
     Response response;
@@ -483,25 +497,6 @@ void InferenceServer::Shutdown() {
     job->trace.End("serve/request");
     job->promise.set_value(std::move(response));
   }
-  if (scheduler_.joinable()) scheduler_.join();
-  {
-    // The scheduler may have handed degraded rows to the fallback thread
-    // on its way out; only now that it is joined can the fallback thread
-    // safely exit on an empty queue (see scheduler_done_).
-    util::MutexLock lock(mu_);
-    scheduler_done_ = true;
-  }
-  fallback_ready_.NotifyAll();
-  if (fallback_.joinable()) fallback_.join();
-  {
-    util::MutexLock lock(mu_);
-    watchdog_stop_ = true;
-  }
-  watchdog_cv_.NotifyAll();
-  if (watchdog_.joinable()) watchdog_.join();
-  // After the last request resolved: one final flush so short-lived
-  // servers still leave a complete record, then the thread stops.
-  if (exporter_ != nullptr) exporter_->Stop();
 }
 
 bool InferenceServer::HardCancel() {
@@ -753,6 +748,7 @@ bool InferenceServer::AdmitOne(AdmissionController::Entry entry,
   // step), a miss must prefill its whole prompt. A prompt that does not
   // fit next to the current batch is deferred — unless the batch is empty,
   // in which case it runs solo (it is < max_seq_len, so it always can).
+  // An admitted row's tokens count against the rest of this step.
   // Lookups carry the pinned generation: a prefix prefilled under another
   // adapter version embeds that version's deltas and must never seed this
   // request's slot.
@@ -769,6 +765,7 @@ bool InferenceServer::AdmitOne(AdmissionController::Entry entry,
     }
     return false;
   }
+  *step_tokens += need;
 
   note_queue();
   flight->prompt_ids = j->prompt_ids;
@@ -787,13 +784,9 @@ bool InferenceServer::AdmitOne(AdmissionController::Entry entry,
     util::Status prefill_status = RetryStep(
         flight.get(), [] { return FAULT_POINT("serve/prefill"); },
         "serve prefill");
-    if (!prefill_status.ok()) {
-      // A permanent prefill fault degrades the request to the cacheless
-      // fallback path rather than failing it — and without ever taking a
-      // batch slot.
-      DegradeToFallback(std::move(flight));
-      return true;
-    }
+    // A permanent prefill fault degrades the request rather than failing
+    // it; its prompt still prefills in this step.
+    if (!prefill_status.ok()) Degrade(flight.get());
     flight->slot = session->AcquireSlot();
   }
   flight->step_begin_us = obs::NowMicros();
@@ -801,9 +794,8 @@ bool InferenceServer::AdmitOne(AdmissionController::Entry entry,
   return true;
 }
 
-void InferenceServer::DegradeToFallback(std::unique_ptr<Flight> flight) {
+void InferenceServer::Degrade(Flight* f) {
   Metrics().degraded->Increment();
-  Flight* f = flight.get();
   f->response.degraded = true;
   f->response.prefix_hit = false;
   f->job->trace.Mark("degraded");
@@ -813,11 +805,7 @@ void InferenceServer::DegradeToFallback(std::unique_ptr<Flight> flight) {
   f->response.ttft_seconds = 0.0;
   f->last_token_us = 0;
   f->cache_entry.reset();
-  {
-    util::MutexLock lock(mu_);
-    fallback_queue_.push_back(std::move(flight));
-  }
-  fallback_ready_.NotifyOne();
+  f->prefilled = false;
 }
 
 void InferenceServer::SchedulerLoop() {
@@ -879,17 +867,7 @@ void InferenceServer::SchedulerLoop() {
         util::MutexLock lock(mu_);
         orphaned = admission_.DrainAll();
       }
-      for (AdmissionController::Entry& entry : orphaned) {
-        std::unique_ptr<Job> job(static_cast<Job*>(entry.item.release()));
-        metrics.cancelled->Increment();
-        Response response;
-        response.request_id = job->trace.id();
-        response.status =
-            util::Status::Unavailable("server shut down before execution");
-        job->trace.Mark("cancelled");
-        job->trace.End("serve/request");
-        job->promise.set_value(std::move(response));
-      }
+      CancelQueued(std::move(orphaned));
       return;
     }
     if (stall_abort_.load(std::memory_order_relaxed)) {
@@ -913,8 +891,12 @@ void InferenceServer::SchedulerLoop() {
     }
 
     // --- Admission: fill free slots from the tiered WDRR queues until the
-    // step-token budget is spent. ----------------------------------------
-    size_t step_tokens = rows.size();  // each in-flight row feeds 1 token
+    // step-token budget is spent. A decoding row feeds 1 token; a
+    // degraded row waiting to re-prefill feeds its whole prompt. ---------
+    size_t step_tokens = 0;
+    for (const std::unique_ptr<Flight>& f : rows) {
+      step_tokens += f->prefilled ? 1 : f->prompt_ids.size();
+    }
     while (rows.size() < session->max_rows()) {
       AdmissionController::Entry entry;
       {
@@ -962,48 +944,37 @@ void InferenceServer::SchedulerLoop() {
         continue;
       }
       int next = ArgmaxRow(f.next_row.data(), vocab);
-      if (next == text::kEosId) {
-        park(&f);
-        f.response.tokens = ExactCopy(f.generated);
-        util::StatusOr<std::string> text =
-            tokenizer_.Decode(f.response.tokens);
-        if (!text.ok()) {
-          Deliver(&f, text.status());
-        } else {
-          f.response.text = std::move(*text);
-          Deliver(&f, util::Status::OK());
-        }
-        release(&rows[i]);
-        continue;
+      if (next != text::kEosId) {
+        f.generated.push_back(next);
+        NoteToken(&f);
+        f.job->trace.Phase("decode_step", f.step_begin_us, f.last_token_us);
+        f.step_begin_us = f.last_token_us;
       }
-      f.generated.push_back(next);
-      NoteToken(&f);
-      f.job->trace.Phase("decode_step", f.step_begin_us, f.last_token_us);
-      f.step_begin_us = f.last_token_us;
-      if (f.generated.size() >= f.max_new ||
+      if (next == text::kEosId || f.generated.size() >= f.max_new ||
           f.prompt_ids.size() + f.generated.size() >= max_seq) {
         park(&f);
         f.response.tokens = ExactCopy(f.generated);
         util::StatusOr<std::string> text =
             tokenizer_.Decode(f.response.tokens);
-        if (!text.ok()) {
-          Deliver(&f, text.status());
-        } else {
-          f.response.text = std::move(*text);
-          Deliver(&f, util::Status::OK());
-        }
+        if (text.ok()) f.response.text = std::move(*text);
+        Deliver(&f, text.status());
         release(&rows[i]);
         continue;
       }
-      util::Status step_status = RetryStep(
-          &f, [] { return FAULT_POINT("serve/decode_step"); },
-          "decode step");
+      // A degraded row fires no fault point: it already restarted once.
+      util::Status step_status =
+          f.response.degraded
+              ? util::Status::OK()
+              : RetryStep(
+                    &f, [] { return FAULT_POINT("serve/decode_step"); },
+                    "decode step");
       if (!step_status.ok()) {
         // Permanent mid-decode failure: this row's KV state is suspect, so
-        // free its slot and restart it on the cacheless fallback thread —
-        // the rest of the batch keeps decoding.
+        // it restarts from its prompt in a fresh slot and re-prefills next
+        // step — the rest of the batch keeps decoding.
         session->ReleaseSlot(f.slot);
-        DegradeToFallback(std::move(rows[i]));
+        f.slot = session->AcquireSlot();
+        Degrade(&f);
         continue;
       }
       inputs.push_back(
@@ -1058,9 +1029,11 @@ void InferenceServer::SchedulerLoop() {
         if (!f.prefilled) {
           f.prefilled = true;
           // Freeze the prompt boundary for the prefix cache before any
-          // decode rows are appended to the slot — unless a brownout is
-          // bypassing cache writes (the snapshot would be dropped anyway).
-          if (brownout_.level() < kBrownoutBypassCacheLevel) {
+          // decode rows are appended to the slot — unless the row is
+          // degraded (it bypasses the cache) or a brownout is bypassing
+          // cache writes (the snapshot would be dropped anyway).
+          if (!f.response.degraded &&
+              brownout_.level() < kBrownoutBypassCacheLevel) {
             auto entry = std::make_shared<PrefixCache::Entry>();
             entry->prompt = f.prompt_ids;
             entry->pages = session->Snapshot(f.slot);
@@ -1134,72 +1107,6 @@ void InferenceServer::WatchdogLoop() {
       last_progress = now;  // restart the clock for a subsequent stall
     }
   }
-}
-
-void InferenceServer::FallbackLoop() {
-  tensor::NoGradGuard no_grad;
-  while (true) {
-    std::unique_ptr<Flight> flight;
-    {
-      util::MutexLock lock(mu_);
-      while (!scheduler_done_ && fallback_queue_.empty()) {
-        fallback_ready_.Wait(mu_);
-      }
-      // Only exit once the scheduler has joined: until then it may still
-      // degrade flights into this queue, and returning early would orphan
-      // their promises. scheduler_done_ also implies drain is complete.
-      if (fallback_queue_.empty()) return;
-      flight = std::move(fallback_queue_.front());
-      fallback_queue_.pop_front();
-    }
-    RunDegraded(flight.get());
-  }
-}
-
-void InferenceServer::RunDegraded(Flight* f) {
-  // Mirrors generation.cc DecodeFullRecompute exactly, so the token stream
-  // stays bit-identical to GreedyDecode even with the engine unavailable.
-  const size_t max_seq = lm_.config().max_seq_len;
-  const size_t vocab = lm_.config().vocab_size;
-  int64_t step_begin_us = obs::NowMicros();
-  std::vector<int> sequence = f->prompt_ids;
-  // Degraded rows still honor their pinned adapter version: the hook
-  // applies the same position-wise deltas the batched path would have.
-  model::PositionWiseAdapterHook hook(
-      f->version != nullptr ? f->version->adapter.get() : nullptr);
-  const model::ForwardOptions forward = hook.Options();
-  for (size_t step = 0; step < f->max_new; ++step) {
-    if (HardCancel()) {
-      Deliver(f, util::Status::Cancelled("server shutting down"));
-      return;
-    }
-    if (Expired(*f)) {
-      f->response.tokens = ExactCopy(f->generated);
-      Deliver(f, util::Status::DeadlineExceeded(
-                     "deadline expired after " +
-                     std::to_string(f->response.tokens.size()) +
-                     " tokens (degraded path)"));
-      return;
-    }
-    if (sequence.size() >= max_seq) break;
-    tensor::Tensor logits = lm_.Logits(sequence, forward);
-    int next =
-        ArgmaxRow(logits.data() + (logits.dim(0) - 1) * vocab, vocab);
-    if (next == text::kEosId) break;
-    f->generated.push_back(next);
-    sequence.push_back(next);
-    NoteToken(f);
-    f->job->trace.Phase("decode_step", step_begin_us, f->last_token_us);
-    step_begin_us = f->last_token_us;
-  }
-  f->response.tokens = ExactCopy(f->generated);
-  util::StatusOr<std::string> text = tokenizer_.Decode(f->response.tokens);
-  if (!text.ok()) {
-    Deliver(f, text.status());
-    return;
-  }
-  f->response.text = std::move(*text);
-  Deliver(f, util::Status::OK());
 }
 
 }  // namespace infuserki::serve

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
@@ -37,8 +36,9 @@ struct ServeOptions {
   size_t max_batch_rows = 4;
   /// Per-step new-token budget for the ragged batched forward: admission
   /// of prefills stops once the tokens fed to one step (one per in-flight
-  /// decode row plus each admitted prompt's length) would exceed this. A
-  /// prompt that alone exceeds the budget still runs — solo.
+  /// decode row, plus the whole prompt of each row still to prefill:
+  /// admitted misses and degraded restarts) would exceed this. A prompt
+  /// that alone exceeds the budget still runs — solo.
   size_t max_batch_tokens = 256;
   /// Admission-queue capacity: Submit() on a full queue sheds the request
   /// with kResourceExhausted instead of queueing unbounded work.
@@ -124,7 +124,7 @@ struct Response {
   std::vector<int> tokens;  // newly generated ids (no prompt, no <eos>)
   std::string text;         // decoded `tokens`
   bool prefix_hit = false;  // served from a cached prefill
-  bool degraded = false;    // served by the cacheless fallback path
+  bool degraded = false;    // restarted from its prompt after a fault
   int retries = 0;          // transient faults absorbed by backoff
   /// Process-unique request id; doubles as the async track id under which
   /// this request's lifecycle renders in the Chrome trace. Always set,
@@ -155,9 +155,9 @@ struct Response {
 /// `max_batch_tokens`), picks every in-flight row's next token, retires
 /// rows that finished / missed their deadline / were cancelled — without
 /// stalling the rest — and forwards all surviving rows' new tokens in ONE
-/// ragged batched step. Requests that lose their KV state to a permanent
-/// fault are handed to a dedicated fallback thread for cacheless
-/// full-recompute decoding, so a degraded request never blocks the batch.
+/// ragged batched step. A request that loses its KV state to a permanent
+/// fault restarts from its prompt in a fresh slot of the same batch: it
+/// re-prefills on a later step while the other rows keep decoding.
 ///
 /// Resilience contract (DESIGN.md §10): a bounded admission queue sheds
 /// load instead of queueing unbounded work; every request carries a
@@ -165,10 +165,10 @@ struct Response {
 /// decode, never wedges the scheduler); prefilled prompt prefixes are
 /// shared across concurrent requests under an LRU KV-token budget;
 /// transient faults on the tokenize / prefill / decode-step fault points
-/// are retried with backoff, and a permanent mid-decode failure degrades
-/// the request to the fallback path instead of failing it. Served token
-/// streams are bit-exact with single-threaded GreedyDecode on both the
-/// batched and the degraded path.
+/// are retried with backoff, and a permanent prefill or mid-decode failure
+/// degrades the request (an in-batch restart that bypasses the prefix
+/// cache) instead of failing it. Served token streams are bit-exact with
+/// single-threaded GreedyDecode, degraded or not.
 ///
 /// Overload control (DESIGN.md §14): admission runs through per-tenant
 /// WDRR queues with strict priority tiers, per-tenant caps and token
@@ -199,8 +199,8 @@ class InferenceServer {
                   const text::Tokenizer& tokenizer,
                   ServeOptions options = {});
 
-  /// Drains the queue (cancelling queued requests) and joins the scheduler
-  /// and fallback threads.
+  /// Runs Shutdown(): cancels or drains queued requests and joins the
+  /// scheduler and watchdog threads.
   ~InferenceServer();
 
   InferenceServer(const InferenceServer&) = delete;
@@ -214,7 +214,7 @@ class InferenceServer {
   /// Synchronous convenience wrapper around Submit().
   Response Run(Request request);
 
-  /// Stops accepting work and joins the scheduler and fallback threads.
+  /// Stops accepting work and joins the scheduler and watchdog threads.
   /// With `drain_deadline` 0: queued requests are cancelled immediately
   /// (kUnavailable) and in-flight rows notice cancellation at the next
   /// token. With a drain budget, admitted and queued work keeps running
@@ -277,7 +277,7 @@ class InferenceServer {
 
   /// One admitted request's in-flight state: its batch slot, decode
   /// progress, and the response being assembled. Owned by the scheduler
-  /// until retirement (or by the fallback thread after degradation).
+  /// until retirement.
   struct Flight {
     std::unique_ptr<Job> job;
     Response response;
@@ -299,7 +299,6 @@ class InferenceServer {
   };
 
   void SchedulerLoop() EXCLUDES(mu_);
-  void FallbackLoop() EXCLUDES(mu_);
 
   /// Watchdog thread body: once per `watchdog_interval` it feeds queue
   /// occupancy to the brownout controller and checks the scheduler
@@ -316,12 +315,14 @@ class InferenceServer {
                 std::vector<std::unique_ptr<Flight>>* rows,
                 size_t* step_tokens) EXCLUDES(mu_);
 
-  /// Marks `flight` degraded and hands it to the fallback thread for
-  /// cacheless full-recompute decoding.
-  void DegradeToFallback(std::unique_ptr<Flight> flight) EXCLUDES(mu_);
+  /// Marks `flight` degraded and restarts it from its prompt: the stream
+  /// so far is dropped and the row re-prefills into an empty slot, which
+  /// the caller provides. From then on it fires no prefill/decode fault
+  /// points and neither reads nor writes the prefix cache.
+  void Degrade(Flight* flight);
 
-  /// Cacheless full-recompute decode for a degraded request.
-  void RunDegraded(Flight* flight);
+  /// Resolves queued jobs that never reached the batch with kUnavailable.
+  void CancelQueued(std::vector<AdmissionController::Entry> entries);
 
   /// Terminal accounting: classifies `status` into the conservation
   /// counters, records per-outcome latency, closes the request's trace
@@ -370,19 +371,12 @@ class InferenceServer {
   // are never taken under it (DESIGN.md §13).
   mutable util::Mutex mu_;
   util::CondVar work_ready_;
-  util::CondVar fallback_ready_;
   util::CondVar watchdog_cv_;
   // Tiered per-tenant WDRR admission queues — the passive replacement for
   // the old FIFO deque, guarded by the same lock (DESIGN.md §14).
   AdmissionController admission_ GUARDED_BY(mu_);
-  std::deque<std::unique_ptr<Flight>> fallback_queue_ GUARDED_BY(mu_);
   bool shutdown_started_ GUARDED_BY(mu_) = false;
   bool watchdog_stop_ GUARDED_BY(mu_) = false;
-  // Set after the scheduler thread is joined: from then on no new degraded
-  // flights can arrive, so the fallback thread may exit once its queue is
-  // empty — never before, or a flight degraded while the scheduler wound
-  // down would orphan its promise.
-  bool scheduler_done_ GUARDED_BY(mu_) = false;
   // Adapter version new admissions pin; null serves the base model.
   std::shared_ptr<const AdapterVersion> active_version_ GUARDED_BY(mu_);
   // Read mid-decode for cooperative cancellation without taking mu_.
@@ -401,7 +395,6 @@ class InferenceServer {
   // Cleared by the scheduler once recovery completes.
   std::atomic<bool> stall_abort_{false};
   std::thread scheduler_;
-  std::thread fallback_;
   std::thread watchdog_;
 };
 

@@ -1,7 +1,7 @@
 // Behavioral suite for the resilient serving layer (DESIGN.md §10): served
 // token streams must stay bit-exact with single-threaded GreedyDecode
 // through prefix reuse, load shedding, deadline expiry, transient-fault
-// retries, KV-budget eviction, and the poisoned-session degraded path.
+// retries, KV-budget eviction, and in-batch degraded restarts.
 
 #include <gtest/gtest.h>
 
@@ -64,28 +64,90 @@ class ServeFixture : public ::testing::Test {
   void TearDown() override { util::FaultRegistry::Get().Clear(); }
 
   static std::vector<int> Reference(const std::string& prompt,
-                                    size_t max_new) {
+                                    size_t max_new,
+                                    const model::ForwardOptions& forward = {}) {
     return model::GreedyDecode(
-        *lm_, tokenizer_->EncodeWithSpecials(prompt, false), max_new);
+        *lm_, tokenizer_->EncodeWithSpecials(prompt, false), max_new,
+        forward);
   }
 
-  /// First candidate prompt whose greedy continuation has at least
-  /// `min_tokens` tokens — tests that need mid-decode events (faults,
-  /// cancellation) must decode more than one token, and what an untrained
-  /// model emits per prompt is arbitrary.
-  static std::string PromptWithLongReference(size_t min_tokens,
-                                             size_t max_new) {
+  /// The first `count` candidate prompts whose greedy continuation (under
+  /// `forward`) has at least `min_tokens` tokens — tests that need
+  /// mid-decode events (faults, cancellation) must decode more than one
+  /// token, and what an untrained model emits per prompt is arbitrary.
+  static std::vector<std::string> PromptsWithLongReference(
+      size_t count, size_t min_tokens, size_t max_new,
+      const model::ForwardOptions& forward = {}) {
     const std::vector<std::string> candidates = {
         "alpha beta gamma",  "iota kappa",    "sigma tau alpha",
         "delta epsilon",     "mu nu xi pi",   "theta iota omicron",
         "beta delta zeta",   "rho sigma",     "eta theta alpha beta",
     };
+    std::vector<std::string> prompts;
     for (const std::string& prompt : candidates) {
-      if (Reference(prompt, max_new).size() >= min_tokens) return prompt;
+      if (prompts.size() == count) break;
+      if (Reference(prompt, max_new, forward).size() >= min_tokens) {
+        prompts.push_back(prompt);
+      }
     }
-    ADD_FAILURE() << "no candidate prompt decodes " << min_tokens
-                  << " tokens";
-    return candidates[0];
+    if (prompts.size() < count) {
+      ADD_FAILURE() << "only " << prompts.size() << " candidate prompts decode "
+                    << min_tokens << " tokens; " << count << " wanted";
+    }
+    return prompts;
+  }
+
+  static std::string PromptWithLongReference(size_t min_tokens,
+                                             size_t max_new) {
+    std::vector<std::string> prompts =
+        PromptsWithLongReference(1, min_tokens, max_new);
+    return prompts.empty() ? "alpha beta gamma" : prompts[0];
+  }
+
+  /// Serves four distinct prompts together in a batch of four under
+  /// `version` while the third decode-step fault point hit fails for good
+  /// (`max_attempts` 1). Exactly one row must degrade, restarting inside
+  /// the batch, and every stream must match GreedyDecode under that
+  /// version's adapter hook.
+  static void ExpectOneRowDegradesInBatchBitExact(
+      const AdapterVersion& version) {
+    model::PositionWiseAdapterHook hook(version.adapter.get());
+    const size_t max_new = 8;
+    // Two tokens each: every row reaches the decode-step fault point, so
+    // the four rows hit it at least four times between them.
+    std::vector<std::string> prompts =
+        PromptsWithLongReference(4, 2, max_new, hook.Options());
+    ASSERT_EQ(prompts.size(), size_t{4});
+
+    obs::Counter* degraded =
+        obs::Registry::Get().GetCounter("serve/degraded");
+    const uint64_t degraded_before = degraded->Value();
+    ASSERT_TRUE(util::FaultRegistry::Get()
+                    .Configure("serve/decode_step=fail@3")
+                    .ok());
+    ServeOptions options;
+    options.max_batch_rows = 4;
+    options.retry = {.max_attempts = 1};
+    InferenceServer server(*lm_, *tokenizer_, options);
+    ASSERT_TRUE(server.SwapAdapters(version).ok());
+
+    std::vector<std::future<Response>> futures;
+    for (const std::string& prompt : prompts) {
+      futures.push_back(server.Submit({prompt, max_new}));
+    }
+    int degraded_responses = 0;
+    for (size_t i = 0; i < prompts.size(); ++i) {
+      Response response = futures[i].get();
+      ASSERT_TRUE(response.status.ok()) << prompts[i] << ": "
+                                        << response.status;
+      EXPECT_EQ(response.adapter_sequence, version.sequence) << prompts[i];
+      EXPECT_EQ(response.tokens,
+                Reference(prompts[i], max_new, hook.Options()))
+          << prompts[i];
+      if (response.degraded) ++degraded_responses;
+    }
+    EXPECT_EQ(degraded_responses, 1);
+    EXPECT_EQ(degraded->Value() - degraded_before, uint64_t{1});
   }
 
   static model::TransformerLM* lm_;
@@ -282,6 +344,7 @@ TEST_F(ServeFixture, ZeroBudgetDisablesCachingButStillServes) {
 TEST_F(ServeFixture, OverlongPromptIsRejectedWithoutKillingTheServer) {
   ServeOptions options;
   options.max_batch_rows = 1;
+  options.retry = {.max_attempts = 1};  // the prefill fault below is final
   InferenceServer server(*lm_, *tokenizer_, options);
   std::string overlong;
   for (int i = 0; i < 40; ++i) overlong += "alpha ";  // > max_seq_len ids
@@ -290,6 +353,40 @@ TEST_F(ServeFixture, OverlongPromptIsRejectedWithoutKillingTheServer) {
       << bad.status;
   Response good = server.Run({"alpha beta", 4});
   EXPECT_TRUE(good.status.ok()) << good.status;
+
+  // Prompt-length boundaries: `ids` ids (<bos> plus repeated `word`).
+  const size_t max_seq = lm_->config().max_seq_len;
+  auto prompt_of = [&](size_t ids, const std::string& word) {
+    std::string prompt;
+    for (size_t i = 1; i < ids; ++i) prompt += word + " ";
+    EXPECT_EQ(tokenizer_->EncodeWithSpecials(prompt, false).size(), ids);
+    return prompt;
+  };
+  // Exactly max_seq_len ids leave no room to decode.
+  Response full = server.Run({prompt_of(max_seq, "alpha"), 4});
+  EXPECT_EQ(full.status.code(), util::StatusCode::kInvalidArgument)
+      << full.status;
+  // One id fewer decodes exactly one position.
+  const std::string longest = prompt_of(max_seq - 1, "alpha");
+  Response last = server.Run({longest, 4});
+  ASSERT_TRUE(last.status.ok()) << last.status;
+  EXPECT_LE(last.tokens.size(), size_t{1});
+  EXPECT_EQ(last.tokens, Reference(longest, 4));
+  // The empty prompt is <bos> alone.
+  Response empty = server.Run({"", 4});
+  ASSERT_TRUE(empty.status.ok()) << empty.status;
+  EXPECT_EQ(empty.tokens, Reference("", 4));
+  // A longest prompt whose prefill fails degrades and still decodes its
+  // one position bit-exactly (a fresh word, so no cached prefix skips the
+  // prefill).
+  const std::string degraded_longest = prompt_of(max_seq - 1, "beta");
+  ASSERT_TRUE(
+      util::FaultRegistry::Get().Configure("serve/prefill=fail@1").ok());
+  Response degraded = server.Run({degraded_longest, 4});
+  ASSERT_TRUE(degraded.status.ok()) << degraded.status;
+  EXPECT_TRUE(degraded.degraded);
+  EXPECT_LE(degraded.tokens.size(), size_t{1});
+  EXPECT_EQ(degraded.tokens, Reference(degraded_longest, 4));
 }
 
 TEST_F(ServeFixture, ShutdownCancelsQueuedAndRejectsNewRequests) {
@@ -364,8 +461,20 @@ TEST_F(ServeFixture, TightTokenBudgetDefersButServesAll) {
   InferenceServer server(*lm_, *tokenizer_, options);
 
   const std::vector<std::string> prompts = {
-      "alpha beta gamma", "iota kappa", "sigma tau alpha",
-      "delta epsilon",    "mu nu xi pi", "beta delta zeta"};
+      "alpha beta gamma",   "iota kappa lambda", "sigma tau alpha",
+      "delta epsilon zeta", "mu nu xi pi",       "beta delta zeta"};
+  // References first: GreedyDecode prefills through the same engine and
+  // would count in the prefill-step delta below.
+  std::vector<std::vector<int>> references;
+  for (const std::string& prompt : prompts) {
+    ASSERT_GE(tokenizer_->EncodeWithSpecials(prompt, false).size(),
+              size_t{4})
+        << prompt;
+    references.push_back(Reference(prompt, 6));
+  }
+  obs::Histogram* prefill_steps =
+      obs::Registry::Get().GetHistogram("engine/prefill_seconds");
+  const uint64_t prefill_steps_before = prefill_steps->Count();
   std::vector<std::future<Response>> futures;
   for (const std::string& prompt : prompts) {
     futures.push_back(server.Submit({prompt, 6}));
@@ -374,8 +483,12 @@ TEST_F(ServeFixture, TightTokenBudgetDefersButServesAll) {
     Response response = futures[i].get();
     ASSERT_TRUE(response.status.ok()) << prompts[i] << ": "
                                       << response.status;
-    EXPECT_EQ(response.tokens, Reference(prompts[i], 6)) << prompts[i];
+    EXPECT_EQ(response.tokens, references[i]) << prompts[i];
   }
+  // Every prompt is >= 4 ids, so no two fit one step's budget of 6: each
+  // prefill runs in a step of its own.
+  EXPECT_EQ(prefill_steps->Count() - prefill_steps_before,
+            uint64_t{prompts.size()});
 }
 
 // Graceful drain: with a drain deadline configured and a queue that fits
@@ -520,6 +633,55 @@ std::shared_ptr<const model::PositionWiseAdapter> OneLayerAdapter(size_t dim,
   layers[0].up_bias = tensor::Tensor::Randn({dim}, &rng, 0.1f);
   return std::make_shared<const model::PositionWiseAdapter>(
       dim, 4, model::AdapterAttachment::kFfn, std::move(layers));
+}
+
+// A permanent decode fault on one row of a full batch restarts that row
+// alone: it re-prefills in a fresh slot while the other rows keep
+// decoding, and every stream, the degraded one included, stays bit-exact.
+TEST_F(ServeFixture, DecodeFaultDegradesOneRowInBatchBitExact) {
+  ExpectOneRowDegradesInBatchBitExact(AdapterVersion{});
+}
+
+// The restarted row re-prefills under the adapter version it pinned at
+// admission, not under the base model.
+TEST_F(ServeFixture, DegradedRowKeepsItsPinnedAdapterBitExact) {
+  ExpectOneRowDegradesInBatchBitExact(
+      AdapterVersion{1, "", OneLayerAdapter(lm_->config().dim, 0)});
+}
+
+// Rows that degrade during a graceful drain still finish inside it: with
+// every decode step failing for good, each request restarts once in the
+// batch and completes before Shutdown() returns, with zero cancellations.
+TEST_F(ServeFixture, DrainDeliversRowsThatDegradeDuringIt) {
+  const size_t max_new = 6;
+  std::vector<std::string> prompts = PromptsWithLongReference(5, 2, max_new);
+  ASSERT_EQ(prompts.size(), size_t{5});
+  ASSERT_TRUE(util::FaultRegistry::Get()
+                  .Configure("serve/decode_step=fail@1+")
+                  .ok());
+  obs::Counter* cancelled =
+      obs::Registry::Get().GetCounter("serve/cancelled");
+  const uint64_t cancelled_before = cancelled->Value();
+  ServeOptions options;
+  options.max_batch_rows = 2;  // more requests than rows: some queue
+  options.drain_deadline = milliseconds(10000);
+  options.retry = {.max_attempts = 1};
+  InferenceServer server(*lm_, *tokenizer_, options);
+
+  std::vector<std::future<Response>> futures;
+  for (const std::string& prompt : prompts) {
+    futures.push_back(server.Submit({prompt, max_new}));
+  }
+  server.Shutdown();
+
+  for (size_t i = 0; i < prompts.size(); ++i) {
+    Response response = futures[i].get();
+    ASSERT_TRUE(response.status.ok()) << prompts[i] << ": "
+                                      << response.status;
+    EXPECT_TRUE(response.degraded) << prompts[i];
+    EXPECT_EQ(response.tokens, Reference(prompts[i], max_new)) << prompts[i];
+  }
+  EXPECT_EQ(cancelled->Value() - cancelled_before, uint64_t{0});
 }
 
 // An adapter that does not fit the model is refused at the swap: the
