@@ -97,9 +97,8 @@ inline EpochBudget MakeBudget(const util::Flags& flags) {
 ///   --metrics_export_ndjson=<p>   NDJSON time-series output path
 ///   --prom_out=<p>                Prometheus text-exposition output path
 ///   --metrics_window_s=<s>        sliding-window horizon (default 30)
-/// A bench that wants a component to own the export thread instead (e.g.
-/// serve::ServeOptions::exporter) calls TakeExporterOptions(), which stops
-/// the session's exporter so two threads never write the same files.
+/// The exporter only snapshots the registry: components sample their own
+/// periodic metrics (e.g. the serve watchdog's queue depth).
 ///
 /// Construct it before Experiment::Setup() so the setup spans are captured.
 class ObsSession {
@@ -108,18 +107,20 @@ class ObsSession {
       : manifest_(bench_name),
         trace_out_(flags.GetString("trace_out", "")),
         metrics_out_(flags.GetString("metrics_out", "")) {
-    exporter_options_.period = std::chrono::milliseconds(
+    obs::ExporterOptions exporter_options;
+    exporter_options.period = std::chrono::milliseconds(
         flags.GetInt("metrics_export_every", 0));
-    exporter_options_.ndjson_path =
+    exporter_options.ndjson_path =
         flags.GetString("metrics_export_ndjson", "");
-    exporter_options_.prometheus_path = flags.GetString("prom_out", "");
-    exporter_options_.window_seconds = static_cast<double>(
+    exporter_options.prometheus_path = flags.GetString("prom_out", "");
+    exporter_options.window_seconds = static_cast<double>(
         flags.GetInt("metrics_window_s", 30));
     if (!trace_out_.empty() || !metrics_out_.empty()) {
       obs::Tracer::Get().Enable();
     }
-    if (exporter_options_.period.count() > 0) {
-      exporter_ = std::make_unique<obs::MetricsExporter>(exporter_options_);
+    if (exporter_options.period.count() > 0) {
+      exporter_ = std::make_unique<obs::MetricsExporter>(
+          std::move(exporter_options));
     }
   }
 
@@ -129,17 +130,6 @@ class ObsSession {
   ~ObsSession() { Finish(); }
 
   obs::RunManifest& manifest() { return manifest_; }
-
-  /// Hands exporter ownership to the caller: stops the session-owned
-  /// export thread (with a final flush) and returns the parsed options for
-  /// a component to run its own exporter against the same outputs.
-  obs::ExporterOptions TakeExporterOptions() {
-    if (exporter_ != nullptr) {
-      exporter_->Stop();
-      exporter_.reset();
-    }
-    return exporter_options_;
-  }
 
   /// Records the shared experiment configuration into the manifest.
   void AddExperimentConfig(const eval::ExperimentConfig& config) {
@@ -199,7 +189,6 @@ class ObsSession {
   obs::RunManifest manifest_;
   std::string trace_out_;
   std::string metrics_out_;
-  obs::ExporterOptions exporter_options_;
   std::unique_ptr<obs::MetricsExporter> exporter_;
   bool finished_ = false;
 };

@@ -21,7 +21,9 @@
 // appended as one NDJSON line per run so the file accumulates a
 // trajectory across commits) plus the shared --trace_out / --metrics_out /
 // --metrics_export_every / --metrics_export_ndjson / --prom_out
-// observability outputs.
+// observability outputs. The session's exporter runs beside every round's
+// server; each server's watchdog samples serve/queue_depth_samples into the
+// registry the exporter publishes.
 //
 // Latency quantiles are derived from the obs registry's exponential-bucket
 // histograms and cross-checked against this binary's own sorted-vector
@@ -137,17 +139,6 @@ std::string RoundJson(const RoundResult& round) {
   return out.Finish();
 }
 
-/// Cumulative-delta view of one histogram between two registry snapshots.
-obs::HistogramStats HistogramDelta(const obs::Registry::Snapshot& before,
-                                   const obs::Registry::Snapshot& after,
-                                   const std::string& name) {
-  auto after_it = after.histograms.find(name);
-  if (after_it == after.histograms.end()) return obs::HistogramStats{};
-  auto before_it = before.histograms.find(name);
-  if (before_it == before.histograms.end()) return after_it->second;
-  return obs::SubtractHistogramStats(after_it->second, before_it->second);
-}
-
 struct CounterSnapshot {
   uint64_t requests, completed, shed, deadline, cancelled, failures;
   uint64_t degraded, retries, evictions, prefix_hits;
@@ -235,10 +226,6 @@ int main(int argc, char** argv) {
   util::TablePrinter table({"batch", "completed", "shed", "deadline",
                             "degraded", "p50_ms", "p99_ms", "p999_ms",
                             "ttft_p50_ms", "req_per_s"});
-  // Each round's server owns the export thread (queue-depth sampling per
-  // tick); taking the options stops the session's own exporter so the two
-  // never write the same files.
-  obs::ExporterOptions exporter_options = obs_session.TakeExporterOptions();
   obs::Registry& registry = obs::Registry::Get();
   bool accounting_ok = true;
   bool quantiles_ok = true;
@@ -256,7 +243,6 @@ int main(int argc, char** argv) {
     options.kv_budget_tokens = kv_budget;
     options.default_max_new_tokens = max_new;
     options.retry = {.max_attempts = 3, .base_delay_ms = 1};
-    options.exporter = exporter_options;
     serve::InferenceServer server(lm, tokenizer, options);
 
     // Open-loop arrival schedule: target submit times in seconds from the
@@ -342,12 +328,12 @@ int main(int argc, char** argv) {
     // cross-check reference ("within one bucket" = same underlying rank,
     // bounded bucket-interpolation error).
     obs::Registry::Snapshot round_after = registry.TakeSnapshot();
-    obs::HistogramStats e2e =
-        HistogramDelta(round_before, round_after, "serve/e2e_ok_seconds");
-    obs::HistogramStats ttft =
-        HistogramDelta(round_before, round_after, "serve/ttft_seconds");
-    obs::HistogramStats inter_token = HistogramDelta(
-        round_before, round_after, "serve/inter_token_seconds");
+    auto round_delta = [&](const char* name) {
+      return obs::Registry::HistogramDelta(round_before, round_after, name);
+    };
+    obs::HistogramStats e2e = round_delta("serve/e2e_ok_seconds");
+    obs::HistogramStats ttft = round_delta("serve/ttft_seconds");
+    obs::HistogramStats inter_token = round_delta("serve/inter_token_seconds");
 
     std::sort(latencies.begin(), latencies.end());
     double p50 = e2e.p50 * 1e3;
@@ -395,8 +381,8 @@ int main(int argc, char** argv) {
     if (open_loop) {
       round.offered_qps = offered_qps;
       round.achieved_qps = throughput;
-      obs::HistogramStats brownout = HistogramDelta(
-          round_before, round_after, "serve/brownout_level_samples");
+      obs::HistogramStats brownout =
+          round_delta("serve/brownout_level_samples");
       round.brownout_mean_level =
           brownout.count > 0
               ? brownout.sum / static_cast<double>(brownout.count)

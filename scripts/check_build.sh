@@ -27,7 +27,8 @@
 #    obs-derived latency quantiles within one bucket of the sorted-vector
 #    reference ("serve_quantiles=ok"), exit 0, append a schema-valid
 #    NDJSON line to the BENCH_serve.json trajectory, and leave a non-empty
-#    NDJSON metrics stream behind from the live exporter.
+#    NDJSON metrics stream behind from the live exporter whose final record
+#    carries the watchdog's serve/queue_depth_samples (count > 0).
 # 7. Runs the fault-free batched-vs-sequential throughput gate: the
 #    continuous-batching scheduler at batch 8 must deliver at least 2x the
 #    sequential (batch 1) request throughput on the small bench model.
@@ -241,6 +242,17 @@ test -s "$SERVE_NDJSON" || {
   exit 1
 }
 if command -v python3 > /dev/null 2>&1; then
+  python3 - "$SERVE_NDJSON" <<'EOF'
+import json, sys
+# The session exporter runs beside each round's server and publishes what
+# the server's watchdog sampled: the final record must carry queue-depth
+# samples.
+with open(sys.argv[1]) as f:
+    last = json.loads([line for line in f if line.strip()][-1])
+samples = last["histograms"].get("serve/queue_depth_samples", {})
+assert samples.get("count", 0) > 0, samples
+print("queue_depth_samples in the final NDJSON record:", samples["count"])
+EOF
   python3 - "$SERVE_JSON" <<'EOF'
 import json, sys
 # The SLO file is an NDJSON trajectory: one JSON object per line, newest

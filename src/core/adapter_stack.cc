@@ -156,12 +156,8 @@ KnowledgeAdapterStack::ExportPositionWise() const {
     weights.up_bias = DetachedCopy(slot.up->bias());
     layers.push_back(std::move(weights));
   }
-  model::AdapterAttachment attachment =
-      options_.placement == AdapterPlacement::kFfn
-          ? model::AdapterAttachment::kFfn
-          : model::AdapterAttachment::kAttention;
   return std::make_shared<model::PositionWiseAdapter>(
-      model_dim_, options_.bottleneck, attachment, std::move(layers));
+      model_dim_, options_.bottleneck, options_.placement, std::move(layers));
 }
 
 }  // namespace infuserki::core

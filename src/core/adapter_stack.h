@@ -13,11 +13,10 @@
 
 namespace infuserki::core {
 
-/// Where the adapters attach (Fig. 5 ablation).
-enum class AdapterPlacement {
-  kFfn,        // parallel to FFN sublayers (the paper's main design)
-  kAttention,  // parallel to attention sublayers
-};
+/// Where the adapters attach (Fig. 5 ablation): kFfn, parallel to FFN
+/// sublayers (the paper's main design), or kAttention. The same enum the
+/// serving-side PositionWiseAdapter records.
+using AdapterPlacement = model::AdapterAttachment;
 
 /// Configuration of the knowledge-adapter chain.
 struct AdapterStackOptions {

@@ -13,18 +13,20 @@ namespace infuserki::model {
 using tensor::NoGradGuard;
 using tensor::Tensor;
 
-namespace {
-
-/// Argmax of the last row of a [T, V] logits tensor.
-int ArgmaxLastRow(const Tensor& logits) {
-  size_t last = logits.dim(0) - 1;
-  size_t vocab = logits.dim(1);
-  const float* row = logits.data() + last * vocab;
+int ArgmaxRow(const float* row, size_t vocab) {
   int best = 0;
   for (size_t v = 1; v < vocab; ++v) {
     if (row[v] > row[best]) best = static_cast<int>(v);
   }
   return best;
+}
+
+namespace {
+
+/// Argmax of the last row of a [T, V] logits tensor.
+int ArgmaxLastRow(const Tensor& logits) {
+  size_t vocab = logits.dim(1);
+  return ArgmaxRow(logits.data() + (logits.dim(0) - 1) * vocab, vocab);
 }
 
 /// Temperature/top-k sample from the last row of a [T, V] logits tensor.

@@ -9,6 +9,11 @@
 
 namespace infuserki::model {
 
+/// Index of the largest of `vocab` logits; the first maximum wins ties.
+/// The one greedy pick: GreedyDecode and the serving scheduler both call
+/// it, so their token streams agree bit for bit.
+int ArgmaxRow(const float* row, size_t vocab);
+
 /// Greedy (argmax) decoding. Returns only the newly generated ids; stops at
 /// <eos> or after `max_new_tokens`.
 std::vector<int> GreedyDecode(const TransformerLM& lm,

@@ -10,8 +10,8 @@
 
 namespace infuserki::model {
 
-/// Which sublayer the adapter chain attaches to (the serving-side mirror of
-/// core::AdapterPlacement — model/ cannot depend on core/).
+/// Which sublayer the adapter chain attaches to; training names it
+/// core::AdapterPlacement. The values are the on-disk adapter encoding.
 enum class AdapterAttachment : uint32_t {
   kFfn = 0,
   kAttention = 1,

@@ -41,20 +41,6 @@ std::string FormatBound(double bound) {
   return buf;
 }
 
-std::string HistogramJson(const HistogramStats& stats) {
-  JsonWriter h;
-  h.AddUint("count", stats.count)
-      .AddNumber("sum", stats.sum)
-      .AddNumber("mean", stats.mean)
-      .AddNumber("min", stats.min)
-      .AddNumber("max", stats.max)
-      .AddNumber("p50", stats.p50)
-      .AddNumber("p90", stats.p90)
-      .AddNumber("p99", stats.p99)
-      .AddNumber("p999", stats.p999);
-  return h.Finish();
-}
-
 }  // namespace
 
 MetricsExporter::MetricsExporter(ExporterOptions options)
@@ -108,7 +94,6 @@ void MetricsExporter::Loop() {
 
 void MetricsExporter::ExportOnce(int64_t now_us) {
   util::MutexLock tick_lock(tick_mu_);
-  if (options_.on_tick) options_.on_tick();
   window_.Tick(now_us);
   Registry::Snapshot snapshot = Registry::Get().TakeSnapshot();
   if (!options_.ndjson_path.empty()) {
@@ -139,7 +124,7 @@ std::string MetricsExporter::NdjsonRecord(const Registry::Snapshot& snapshot,
   }
   JsonWriter histograms;
   for (const auto& [name, stats] : snapshot.histograms) {
-    histograms.AddRaw(name, HistogramJson(stats));
+    histograms.AddRaw(name, HistogramStatsJson(stats));
   }
 
   JsonWriter rates;
@@ -150,7 +135,7 @@ std::string MetricsExporter::NdjsonRecord(const Registry::Snapshot& snapshot,
   for (const auto& [name, stats] : snapshot.histograms) {
     HistogramStats delta = window_.HistogramDelta(name);
     if (delta.count > 0) {
-      windowed_histograms.AddRaw(name, HistogramJson(delta));
+      windowed_histograms.AddRaw(name, HistogramStatsJson(delta));
     }
   }
   JsonWriter window;

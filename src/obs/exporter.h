@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <thread>
 
@@ -28,9 +27,6 @@ struct ExporterOptions {
   std::string prometheus_path;
   /// Horizon for the windowed rates/quantiles in each NDJSON record.
   double window_seconds = 30.0;
-  /// Invoked at the start of every tick, before the snapshot — the hook
-  /// for periodic gauge sampling (e.g. serve queue depth).
-  std::function<void()> on_tick;
 };
 
 /// Background thread that periodically snapshots the metrics registry and
@@ -71,8 +67,9 @@ class MetricsExporter {
   const ExporterOptions options_;
   std::atomic<uint64_t> ticks_{0};
   // tick_mu_ serializes ExportOnce between the thread and TickNow; it is
-  // above every lock it ticks into (window_'s own mutex, the registry,
-  // on_tick callees) and is never held together with mu_ (DESIGN.md §13).
+  // above the only locks it ticks into (window_'s own mutex and the
+  // registry), calls no caller code, and is never held together with mu_
+  // (DESIGN.md §13).
   mutable util::Mutex tick_mu_;
   SlidingWindow window_ GUARDED_BY(tick_mu_);
   mutable util::Mutex mu_;

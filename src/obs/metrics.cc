@@ -88,6 +88,20 @@ HistogramStats SubtractHistogramStats(const HistogramStats& after,
   return delta;
 }
 
+std::string HistogramStatsJson(const HistogramStats& stats) {
+  JsonWriter out;
+  out.AddUint("count", stats.count)
+      .AddNumber("sum", stats.sum)
+      .AddNumber("mean", stats.mean)
+      .AddNumber("min", stats.min)
+      .AddNumber("max", stats.max)
+      .AddNumber("p50", stats.p50)
+      .AddNumber("p90", stats.p90)
+      .AddNumber("p99", stats.p99)
+      .AddNumber("p999", stats.p999);
+  return out.Finish();
+}
+
 void Histogram::Record(double value) {
   count_.fetch_add(1, std::memory_order_relaxed);
   AtomicAdd(&sum_, value);
@@ -257,23 +271,32 @@ std::string Registry::JsonDump() const {
   }
   JsonWriter histograms;
   for (const auto& [name, stats] : snapshot.histograms) {
-    JsonWriter h;
-    h.AddUint("count", stats.count)
-        .AddNumber("sum", stats.sum)
-        .AddNumber("mean", stats.mean)
-        .AddNumber("min", stats.min)
-        .AddNumber("max", stats.max)
-        .AddNumber("p50", stats.p50)
-        .AddNumber("p90", stats.p90)
-        .AddNumber("p99", stats.p99)
-        .AddNumber("p999", stats.p999);
-    histograms.AddRaw(name, h.Finish());
+    histograms.AddRaw(name, HistogramStatsJson(stats));
   }
   JsonWriter out;
   out.AddRaw("counters", counters.Finish())
       .AddRaw("gauges", gauges.Finish())
       .AddRaw("histograms", histograms.Finish());
   return out.Finish();
+}
+
+uint64_t Registry::CounterDelta(const Snapshot& before, const Snapshot& after,
+                                const std::string& name) {
+  auto after_it = after.counters.find(name);
+  if (after_it == after.counters.end()) return 0;
+  auto before_it = before.counters.find(name);
+  uint64_t base = before_it == before.counters.end() ? 0 : before_it->second;
+  return after_it->second >= base ? after_it->second - base : 0;
+}
+
+HistogramStats Registry::HistogramDelta(const Snapshot& before,
+                                        const Snapshot& after,
+                                        const std::string& name) {
+  auto after_it = after.histograms.find(name);
+  if (after_it == after.histograms.end()) return HistogramStats{};
+  auto before_it = before.histograms.find(name);
+  if (before_it == before.histograms.end()) return after_it->second;
+  return SubtractHistogramStats(after_it->second, before_it->second);
 }
 
 void Registry::ResetAll() {

@@ -98,6 +98,11 @@ double HistogramQuantile(const HistogramStats& stats, double q);
 HistogramStats SubtractHistogramStats(const HistogramStats& after,
                                       const HistogramStats& before);
 
+/// JSON object {"count","sum","mean","min","max","p50","p90","p99","p999"}
+/// for one histogram (buckets omitted): the one writer behind the registry
+/// dump and every exporter record.
+std::string HistogramStatsJson(const HistogramStats& stats);
+
 /// Distribution of positive samples (latencies, sizes) over exponential
 /// base-2 buckets starting at 1e-6. All updates are relaxed atomics; a
 /// concurrent Snapshot may observe a sample's count before its sum, which
@@ -172,6 +177,21 @@ class Registry {
     std::map<std::string, HistogramStats> histograms;
   };
   Snapshot TakeSnapshot() const;
+
+  /// Increase of counter `name` from `before` to `after`: 0 when `after`
+  /// lacks it, the whole value when only `after` has it, and 0 rather than
+  /// a wrapped difference if the counter was reset in between. Static
+  /// members rather than free functions, so argument-dependent lookup from
+  /// callers with same-named helpers of their own stays unambiguous.
+  static uint64_t CounterDelta(const Snapshot& before, const Snapshot& after,
+                               const std::string& name);
+
+  /// Histogram `name` over the same span (SubtractHistogramStats): empty
+  /// stats when `after` lacks it, the cumulative view when only `after`
+  /// has it.
+  static HistogramStats HistogramDelta(const Snapshot& before,
+                                       const Snapshot& after,
+                                       const std::string& name);
 
   /// Human-readable one-metric-per-line dump.
   std::string TextDump() const;

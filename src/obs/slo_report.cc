@@ -5,28 +5,11 @@
 namespace infuserki::obs {
 namespace {
 
-uint64_t CounterDelta(const Registry::Snapshot& before,
-                      const Registry::Snapshot& after,
-                      const std::string& name) {
-  auto after_it = after.counters.find(name);
-  if (after_it == after.counters.end()) return 0;
-  auto before_it = before.counters.find(name);
-  uint64_t base =
-      before_it == before.counters.end() ? 0 : before_it->second;
-  return after_it->second >= base ? after_it->second - base : 0;
-}
-
 SloLatency LatencyDelta(const Registry::Snapshot& before,
                         const Registry::Snapshot& after,
                         const std::string& name) {
+  HistogramStats delta = Registry::HistogramDelta(before, after, name);
   SloLatency latency;
-  auto after_it = after.histograms.find(name);
-  if (after_it == after.histograms.end()) return latency;
-  auto before_it = before.histograms.find(name);
-  HistogramStats delta =
-      before_it == before.histograms.end()
-          ? after_it->second
-          : SubtractHistogramStats(after_it->second, before_it->second);
   latency.count = delta.count;
   latency.mean_ms = delta.mean * 1e3;
   latency.p50_ms = delta.p50 * 1e3;
@@ -35,21 +18,6 @@ SloLatency LatencyDelta(const Registry::Snapshot& before,
   latency.p999_ms = delta.p999 * 1e3;
   latency.max_ms = delta.max * 1e3;
   return latency;
-}
-
-/// Mean of a histogram's window delta in its native unit (no ms scaling) —
-/// used for the brownout-level occupancy summary.
-double HistogramMeanDelta(const Registry::Snapshot& before,
-                          const Registry::Snapshot& after,
-                          const std::string& name) {
-  auto after_it = after.histograms.find(name);
-  if (after_it == after.histograms.end()) return 0.0;
-  auto before_it = before.histograms.find(name);
-  HistogramStats delta =
-      before_it == before.histograms.end()
-          ? after_it->second
-          : SubtractHistogramStats(after_it->second, before_it->second);
-  return delta.count > 0 ? delta.mean : 0.0;
 }
 
 std::string LatencyJson(const SloLatency& latency) {
@@ -68,31 +36,30 @@ std::string LatencyJson(const SloLatency& latency) {
 
 SloReport BuildSloReport(const Registry::Snapshot& before,
                          const Registry::Snapshot& after) {
+  auto counter = [&](const char* name) {
+    return Registry::CounterDelta(before, after, name);
+  };
   SloReport report;
-  report.requests = CounterDelta(before, after, "serve/requests");
-  report.completed = CounterDelta(before, after, "serve/completed");
-  report.shed = CounterDelta(before, after, "serve/shed");
-  report.deadline_misses =
-      CounterDelta(before, after, "serve/deadline_misses");
-  report.cancelled = CounterDelta(before, after, "serve/cancelled");
-  report.failures = CounterDelta(before, after, "serve/failures");
-  report.degraded = CounterDelta(before, after, "serve/degraded");
-  report.retries = CounterDelta(before, after, "serve/retries");
-  report.shed_queue_full =
-      CounterDelta(before, after, "serve/shed_queue_full");
-  report.shed_tenant_cap =
-      CounterDelta(before, after, "serve/shed_tenant_cap");
-  report.shed_rate_limited =
-      CounterDelta(before, after, "serve/shed_rate_limited");
-  report.shed_brownout = CounterDelta(before, after, "serve/shed_brownout");
-  report.shed_infeasible =
-      CounterDelta(before, after, "serve/shed_infeasible");
-  report.watchdog_stalls =
-      CounterDelta(before, after, "serve/watchdog_stalls");
-  report.watchdog_recoveries =
-      CounterDelta(before, after, "serve/watchdog_recoveries");
+  report.requests = counter("serve/requests");
+  report.completed = counter("serve/completed");
+  report.shed = counter("serve/shed");
+  report.deadline_misses = counter("serve/deadline_misses");
+  report.cancelled = counter("serve/cancelled");
+  report.failures = counter("serve/failures");
+  report.degraded = counter("serve/degraded");
+  report.retries = counter("serve/retries");
+  report.shed_queue_full = counter("serve/shed_queue_full");
+  report.shed_tenant_cap = counter("serve/shed_tenant_cap");
+  report.shed_rate_limited = counter("serve/shed_rate_limited");
+  report.shed_brownout = counter("serve/shed_brownout");
+  report.shed_infeasible = counter("serve/shed_infeasible");
+  report.watchdog_stalls = counter("serve/watchdog_stalls");
+  report.watchdog_recoveries = counter("serve/watchdog_recoveries");
+  // Mean in the histogram's native unit (no ms scaling); an empty delta
+  // has mean 0.
   report.brownout_mean_level =
-      HistogramMeanDelta(before, after, "serve/brownout_level_samples");
+      Registry::HistogramDelta(before, after, "serve/brownout_level_samples")
+          .mean;
   if (report.requests > 0) {
     double requests = static_cast<double>(report.requests);
     report.shed_rate = static_cast<double>(report.shed) / requests;

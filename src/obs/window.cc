@@ -43,24 +43,12 @@ double SlidingWindow::CoveredSeconds() const {
   return static_cast<double>(newest->t_us - baseline->t_us) * 1e-6;
 }
 
-namespace {
-
-uint64_t CounterOrZero(const Registry::Snapshot& snapshot,
-                       const std::string& name) {
-  auto it = snapshot.counters.find(name);
-  return it == snapshot.counters.end() ? 0 : it->second;
-}
-
-}  // namespace
-
 uint64_t SlidingWindow::CounterDelta(const std::string& name) const {
   util::MutexLock lock(mu_);
   const Frame* baseline;
   const Frame* newest;
   if (!BoundsLocked(&baseline, &newest)) return 0;
-  uint64_t now = CounterOrZero(newest->snapshot, name);
-  uint64_t then = CounterOrZero(baseline->snapshot, name);
-  return now >= then ? now - then : 0;
+  return Registry::CounterDelta(baseline->snapshot, newest->snapshot, name);
 }
 
 double SlidingWindow::CounterRate(const std::string& name) const {
@@ -70,9 +58,9 @@ double SlidingWindow::CounterRate(const std::string& name) const {
   if (!BoundsLocked(&baseline, &newest)) return 0.0;
   double seconds = static_cast<double>(newest->t_us - baseline->t_us) * 1e-6;
   if (seconds <= 0.0) return 0.0;
-  uint64_t now = CounterOrZero(newest->snapshot, name);
-  uint64_t then = CounterOrZero(baseline->snapshot, name);
-  return now >= then ? static_cast<double>(now - then) / seconds : 0.0;
+  return static_cast<double>(Registry::CounterDelta(
+             baseline->snapshot, newest->snapshot, name)) /
+         seconds;
 }
 
 double SlidingWindow::GaugeValue(const std::string& name) const {
@@ -88,15 +76,7 @@ HistogramStats SlidingWindow::HistogramDelta(const std::string& name) const {
   const Frame* baseline;
   const Frame* newest;
   if (!BoundsLocked(&baseline, &newest)) return HistogramStats{};
-  auto now_it = newest->snapshot.histograms.find(name);
-  if (now_it == newest->snapshot.histograms.end()) return HistogramStats{};
-  auto then_it = baseline->snapshot.histograms.find(name);
-  if (then_it == baseline->snapshot.histograms.end()) {
-    // The histogram first appeared inside the window: the whole cumulative
-    // view is the delta.
-    return now_it->second;
-  }
-  return SubtractHistogramStats(now_it->second, then_it->second);
+  return Registry::HistogramDelta(baseline->snapshot, newest->snapshot, name);
 }
 
 std::map<std::string, double> SlidingWindow::AllCounterRates() const {
@@ -107,10 +87,11 @@ std::map<std::string, double> SlidingWindow::AllCounterRates() const {
   if (!BoundsLocked(&baseline, &newest)) return rates;
   double seconds = static_cast<double>(newest->t_us - baseline->t_us) * 1e-6;
   if (seconds <= 0.0) return rates;
-  for (const auto& [name, value] : newest->snapshot.counters) {
-    uint64_t then = CounterOrZero(baseline->snapshot, name);
-    rates[name] =
-        value >= then ? static_cast<double>(value - then) / seconds : 0.0;
+  for (const auto& counter : newest->snapshot.counters) {
+    rates[counter.first] = static_cast<double>(Registry::CounterDelta(
+                               baseline->snapshot, newest->snapshot,
+                               counter.first)) /
+                           seconds;
   }
   return rates;
 }

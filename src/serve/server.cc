@@ -6,6 +6,7 @@
 #include <thread>
 #include <utility>
 
+#include "model/generation.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
@@ -60,8 +61,7 @@ struct ServeMetrics {
 ServeMetrics& Metrics() {
   // Magic-static resolution, relaxed-atomic updates afterwards (the
   // EngineMetrics idiom from batched_session.cc): Submit() callers and the
-  // scheduler, watchdog and exporter threads publish without the registry
-  // lock.
+  // scheduler and watchdog threads publish without the registry lock.
   static ServeMetrics* metrics = [] {
     obs::Registry& registry = obs::Registry::Get();
     return new ServeMetrics{
@@ -104,17 +104,6 @@ ServeMetrics& Metrics() {
         registry.GetHistogram("serve/brownout_level_samples")};
   }();
   return *metrics;
-}
-
-/// Argmax over one logits row with the exact first-max tie-break of
-/// generation.cc's ArgmaxLastRow — bit-exactness with GreedyDecode depends
-/// on scanning order and the strict `>` comparison.
-int ArgmaxRow(const float* row, size_t vocab) {
-  int best = 0;
-  for (size_t v = 1; v < vocab; ++v) {
-    if (row[v] > row[best]) best = static_cast<int>(v);
-  }
-  return best;
 }
 
 /// Copies the last row of a [T, V] logits tensor.
@@ -224,20 +213,6 @@ util::Status ValidateServeOptions(const ServeOptions& options) {
   if (options.retry.multiplier < 1.0) {
     return invalid("ServeOptions::retry.multiplier must be >= 1");
   }
-  if (options.exporter.period.count() < 0) {
-    return invalid("ServeOptions::exporter.period must be >= 0");
-  }
-  if (options.exporter.period.count() > 0 &&
-      options.exporter.window_seconds <= 0.0) {
-    return invalid(
-        "ServeOptions::exporter.window_seconds must be > 0 when the "
-        "exporter runs");
-  }
-  if (options.exporter.period.count() == 0 && options.exporter.on_tick) {
-    return invalid(
-        "ServeOptions::exporter.on_tick is set but exporter.period is 0: "
-        "the tick (and its window sampling) would never run");
-  }
   if (options.admission.quantum <= 0.0) {
     return invalid("ServeOptions::admission.quantum must be > 0");
   }
@@ -301,26 +276,13 @@ InferenceServer::InferenceServer(const model::TransformerLM& lm,
       admission_(options_.admission, options_.queue_capacity) {
   init_status_ = ValidateServeOptions(options_);
   if (!init_status_.ok()) {
-    // Fail fast: no threads, no exporter. Every Submit() resolves with
-    // init_status_ and Shutdown() degenerates to a no-op.
+    // Fail fast: no threads. Every Submit() resolves with init_status_
+    // and Shutdown() degenerates to a no-op.
     LOG_WARNING << "InferenceServer not started: " << init_status_;
     return;
   }
   scheduler_ = std::thread(&InferenceServer::SchedulerLoop, this);
   watchdog_ = std::thread(&InferenceServer::WatchdogLoop, this);
-  if (options_.exporter.period.count() > 0) {
-    // The server owns the export thread and chains its queue-depth
-    // sampling ahead of any caller-provided tick hook.
-    obs::ExporterOptions exporter_options = options_.exporter;
-    std::function<void()> user_tick = std::move(exporter_options.on_tick);
-    exporter_options.on_tick = [this, user_tick = std::move(user_tick)] {
-      Metrics().queue_depth_samples->Record(
-          static_cast<double>(queue_depth()));
-      if (user_tick) user_tick();
-    };
-    exporter_ =
-        std::make_unique<obs::MetricsExporter>(std::move(exporter_options));
-  }
 }
 
 InferenceServer::~InferenceServer() { Shutdown(); }
@@ -338,6 +300,7 @@ std::future<Response> InferenceServer::Submit(Request request) {
                                    : options_.default_deadline;
   job->enqueued = Clock::now();
   job->trace = obs::RequestTrace::Begin();
+  job->response.request_id = job->trace.id();
   if (deadline.count() > 0) job->deadline = job->enqueued + deadline;
   std::future<Response> future = job->promise.get_future();
 
@@ -368,23 +331,19 @@ std::future<Response> InferenceServer::Submit(Request request) {
       // Invalid construction: the scheduler never started, so resolve
       // here — a hung future would be strictly worse than a crisp error.
       metrics.failures->Increment();
-      Response response;
-      response.request_id = job->trace.id();
-      response.status = init_status_;
+      job->response.status = init_status_;
       job->trace.Mark("failure");
       job->trace.End("serve/request");
-      job->promise.set_value(std::move(response));
+      job->promise.set_value(std::move(job->response));
       return future;
     }
     if (shutdown_started_) {
       metrics.cancelled->Increment();
-      Response response;
-      response.request_id = job->trace.id();
-      response.status =
+      job->response.status =
           util::Status::Unavailable("server is shutting down");
       job->trace.Mark("cancelled");
       job->trace.End("serve/request");
-      job->promise.set_value(std::move(response));
+      job->promise.set_value(std::move(job->response));
       return future;
     }
     if (infeasible_estimate_s > 0.0) {
@@ -428,8 +387,7 @@ std::future<Response> InferenceServer::Submit(Request request) {
     metrics.shed->Increment();
     ShedReasonCounter(metrics, reason)->Increment();
     tenant.shed->Increment();
-    Response response;
-    response.request_id = job->trace.id();
+    Response& response = job->response;
     response.retry_after_seconds = hint_s;
     response.status = util::WithRetryAfter(
         util::Status::ResourceExhausted(
@@ -479,23 +437,18 @@ void InferenceServer::Shutdown() {
   }
   watchdog_cv_.NotifyAll();
   if (watchdog_.joinable()) watchdog_.join();
-  // After the last request resolved: one final flush so short-lived
-  // servers still leave a complete record, then the thread stops.
-  if (exporter_ != nullptr) exporter_->Stop();
 }
 
 void InferenceServer::CancelQueued(
     std::vector<AdmissionController::Entry> entries) {
   for (AdmissionController::Entry& entry : entries) {
-    std::unique_ptr<Job> job(static_cast<Job*>(entry.item.release()));
+    Job* job = static_cast<Job*>(entry.item.get());
     Metrics().cancelled->Increment();
-    Response response;
-    response.request_id = job->trace.id();
-    response.status =
+    job->response.status =
         util::Status::Unavailable("server shut down before execution");
     job->trace.Mark("cancelled");
     job->trace.End("serve/request");
-    job->promise.set_value(std::move(response));
+    job->promise.set_value(std::move(job->response));
   }
 }
 
@@ -571,24 +524,23 @@ size_t InferenceServer::queue_depth() const {
   return admission_.size();
 }
 
-void InferenceServer::NoteToken(Flight* flight) {
+void InferenceServer::NoteToken(Job* job) {
   int64_t now_us = obs::NowMicros();
-  if (flight->generated.size() == 1) {
-    flight->response.ttft_seconds =
-        std::chrono::duration<double>(Clock::now() - flight->job->enqueued)
-            .count();
-  } else if (flight->last_token_us != 0) {
+  if (job->generated.size() == 1) {
+    job->response.ttft_seconds =
+        std::chrono::duration<double>(Clock::now() - job->enqueued).count();
+  } else if (job->last_token_us != 0) {
     Metrics().inter_token_seconds->Record(
-        static_cast<double>(now_us - flight->last_token_us) * 1e-6);
+        static_cast<double>(now_us - job->last_token_us) * 1e-6);
   }
-  flight->last_token_us = now_us;
+  job->last_token_us = now_us;
 }
 
-void InferenceServer::Deliver(Flight* flight, util::Status status) {
+void InferenceServer::Deliver(Job* job, util::Status status) {
   ServeMetrics& metrics = Metrics();
-  Response& response = flight->response;
+  Response& response = job->response;
   response.status = std::move(status);
-  double processing = flight->watch.ElapsedSeconds();
+  double processing = job->watch.ElapsedSeconds();
   response.total_seconds = response.queue_seconds + processing;
   metrics.request_seconds->Record(processing);
   if (response.ttft_seconds > 0.0) {
@@ -611,33 +563,32 @@ void InferenceServer::Deliver(Flight* flight, util::Status status) {
     case util::StatusCode::kDeadlineExceeded:
       metrics.deadline_misses->Increment();
       metrics.e2e_deadline_seconds->Record(response.total_seconds);
-      flight->job->trace.Mark("deadline");
+      job->trace.Mark("deadline");
       break;
     case util::StatusCode::kCancelled:
     case util::StatusCode::kUnavailable:
       metrics.cancelled->Increment();
       metrics.e2e_error_seconds->Record(response.total_seconds);
-      flight->job->trace.Mark("cancelled");
+      job->trace.Mark("cancelled");
       break;
     default:
       metrics.failures->Increment();
       metrics.e2e_error_seconds->Record(response.total_seconds);
-      flight->job->trace.Mark("failure");
+      job->trace.Mark("failure");
   }
-  flight->job->trace.End("serve/request");
-  flight->job->promise.set_value(std::move(response));
+  job->trace.End("serve/request");
+  job->promise.set_value(std::move(response));
 }
 
 util::Status InferenceServer::RetryStep(
-    Flight* flight, const std::function<util::Status()>& step,
+    Job* job, const std::function<util::Status()>& step,
     const std::string& what) {
   // Per-request retry policy: the request deadline is MERGED into any
   // configured server-wide retry deadline (earliest bound wins), so the
   // backoff loop can outlive neither the request it serves nor the
   // server's own policy. A plain assignment here once let a no-deadline
   // request erase the configured bound — hence BoundDeadline.
-  util::RetryOptions retry =
-      util::BoundDeadline(options_.retry, flight->job->deadline);
+  util::RetryOptions retry = util::BoundDeadline(options_.retry, job->deadline);
   int attempts = 0;
   util::Status status = util::RetryWithBackoff(
       [&] {
@@ -647,72 +598,62 @@ util::Status InferenceServer::RetryStep(
       retry, what);
   if (attempts > 1) {
     Metrics().retries->Increment(static_cast<uint64_t>(attempts - 1));
-    flight->response.retries += attempts - 1;
-    flight->job->trace.Mark("retry:" + what);
+    job->response.retries += attempts - 1;
+    job->trace.Mark("retry:" + what);
   }
   return status;
 }
 
 bool InferenceServer::AdmitOne(AdmissionController::Entry entry,
                                model::BatchedDecodeSession* session,
-                               std::vector<std::unique_ptr<Flight>>* rows,
+                               std::vector<std::unique_ptr<Job>>* rows,
                                size_t* step_tokens) {
   ServeMetrics& metrics = Metrics();
-  auto flight = std::make_unique<Flight>();
   // The admission queue stores jobs behind the polymorphic Item base; the
-  // server is the only pusher, so the downcast is exact.
-  flight->job.reset(static_cast<Job*>(entry.item.release()));
-  Job* j = flight->job.get();
-  flight->response.request_id = j->trace.id();
-  flight->response.retries = j->carried_retries;
+  // server is the only pusher, so the downcast is exact. The entry keeps
+  // owning the job until it joins the batch or is deferred.
+  Job* j = static_cast<Job*>(entry.item.get());
+  // The processing clock restarts on every admission attempt: time spent
+  // deferred is queue time.
+  j->watch.Reset();
   // Queue-side stats are recorded exactly once per request — on every
   // admission outcome except deferral (a deferred job re-enters admission
   // later and its continued wait still counts as queue time).
   auto note_queue = [&] {
-    flight->response.queue_seconds =
+    j->response.queue_seconds =
         std::chrono::duration<double>(Clock::now() - j->enqueued).count();
-    metrics.queue_wait_seconds->Record(flight->response.queue_seconds);
+    metrics.queue_wait_seconds->Record(j->response.queue_seconds);
     j->trace.Phase("queue", j->trace.begin_us(), obs::NowMicros());
+  };
+  auto finish = [&](util::Status status) {
+    note_queue();
+    Deliver(j, std::move(status));
+    return true;
   };
 
   if (HardCancel()) {
-    note_queue();
-    Deliver(flight.get(), util::Status::Cancelled("server shutting down"));
-    return true;
+    return finish(util::Status::Cancelled("server shutting down"));
   }
-  if (Expired(*flight)) {
-    note_queue();
-    Deliver(flight.get(),
-            util::Status::DeadlineExceeded("deadline expired in queue"));
-    return true;
+  if (Expired(*j)) {
+    return finish(util::Status::DeadlineExceeded("deadline expired in queue"));
   }
 
-  // Tokenization (and its fault point) runs once per request, cached in
-  // the job across budget deferrals so a deferred job neither re-fires the
-  // fault point nor loses its absorbed-retry count.
-  if (!j->tokenized) {
+  // Tokenization (and its fault point) runs once per request: a deferred
+  // job keeps its ids, so it neither re-fires the fault point nor loses
+  // its absorbed retries.
+  if (j->prompt_ids.empty()) {
     util::Status tokenize_status = RetryStep(
-        flight.get(), [] { return FAULT_POINT("serve/tokenize"); },
-        "serve tokenize");
-    if (!tokenize_status.ok()) {
-      note_queue();
-      Deliver(flight.get(), std::move(tokenize_status));
-      return true;
-    }
-    j->prompt_ids =
-        tokenizer_.EncodeWithSpecials(j->request.prompt, false);
-    j->tokenized = true;
+        j, [] { return FAULT_POINT("serve/tokenize"); }, "serve tokenize");
+    if (!tokenize_status.ok()) return finish(std::move(tokenize_status));
+    j->prompt_ids = tokenizer_.EncodeWithSpecials(j->request.prompt, false);
   }
 
   const size_t max_seq = lm_.config().max_seq_len;
   if (j->prompt_ids.size() >= max_seq) {
-    note_queue();
-    Deliver(flight.get(),
-            util::Status::InvalidArgument(
-                "prompt of " + std::to_string(j->prompt_ids.size()) +
-                " tokens leaves no room under max_seq_len " +
-                std::to_string(max_seq)));
-    return true;
+    return finish(util::Status::InvalidArgument(
+        "prompt of " + std::to_string(j->prompt_ids.size()) +
+        " tokens leaves no room under max_seq_len " +
+        std::to_string(max_seq)));
   }
   size_t max_new = j->request.max_new_tokens > 0
                        ? j->request.max_new_tokens
@@ -729,20 +670,14 @@ bool InferenceServer::AdmitOne(AdmissionController::Entry entry,
       j->trace.Mark("brownout_clamp");
     }
   }
-  if (max_new == 0) {
-    note_queue();
-    Deliver(flight.get(), util::Status::OK());
-    return true;
-  }
+  if (max_new == 0) return finish(util::Status::OK());
 
   // Pin the active adapter version: every token of this request decodes
   // under it, no matter how many swaps land mid-flight (a deferred job
   // re-pins at its eventual admission — "admitted under" means entering
   // the batch, not entering the queue).
-  flight->version = CurrentVersion();
-  const uint64_t generation =
-      flight->version != nullptr ? flight->version->sequence : 0;
-  flight->response.adapter_sequence = generation;
+  std::shared_ptr<const AdapterVersion> version = CurrentVersion();
+  const uint64_t generation = version != nullptr ? version->sequence : 0;
 
   // Step-token budget: a prefix hit joins the decode wave (1 token this
   // step), a miss must prefill its whole prompt. A prompt that does not
@@ -756,56 +691,52 @@ bool InferenceServer::AdmitOne(AdmissionController::Entry entry,
       cache_.Lookup(j->prompt_ids, generation);
   size_t need = cached != nullptr ? 1 : j->prompt_ids.size();
   if (!rows->empty() && *step_tokens + need > options_.max_batch_tokens) {
-    j->carried_retries = flight->response.retries;
-    entry.item.reset(flight->job.release());
-    {
-      util::MutexLock lock(mu_);
-      admission_.Defer(std::move(entry));
-      metrics.queue_depth->Set(static_cast<double>(admission_.size()));
-    }
+    util::MutexLock lock(mu_);
+    admission_.Defer(std::move(entry));
+    metrics.queue_depth->Set(static_cast<double>(admission_.size()));
     return false;
   }
   *step_tokens += need;
 
   note_queue();
-  flight->prompt_ids = j->prompt_ids;
-  flight->max_new = max_new;
+  j->version = std::move(version);
+  j->response.adapter_sequence = generation;
+  j->max_new = max_new;
   if (cached != nullptr) {
     metrics.prefix_hits->Increment();
-    flight->response.prefix_hit = true;
+    j->response.prefix_hit = true;
     j->trace.Mark("prefix_hit");
-    flight->slot = session->AcquireSlot();
-    session->Restore(flight->slot, cached->pages);
-    flight->next_row = cached->last_row;
-    flight->prefilled = true;
-    flight->cache_entry = std::move(cached);
+    j->slot = session->AcquireSlot();
+    session->Restore(j->slot, cached->pages);
+    j->next_row = cached->last_row;
+    j->prefilled = true;
+    j->cache_entry = std::move(cached);
   } else {
     metrics.prefix_misses->Increment();
     util::Status prefill_status = RetryStep(
-        flight.get(), [] { return FAULT_POINT("serve/prefill"); },
-        "serve prefill");
+        j, [] { return FAULT_POINT("serve/prefill"); }, "serve prefill");
     // A permanent prefill fault degrades the request rather than failing
     // it; its prompt still prefills in this step.
-    if (!prefill_status.ok()) Degrade(flight.get());
-    flight->slot = session->AcquireSlot();
+    if (!prefill_status.ok()) Degrade(j);
+    j->slot = session->AcquireSlot();
   }
-  flight->step_begin_us = obs::NowMicros();
-  rows->push_back(std::move(flight));
+  j->step_begin_us = obs::NowMicros();
+  rows->emplace_back(static_cast<Job*>(entry.item.release()));
   return true;
 }
 
-void InferenceServer::Degrade(Flight* f) {
+void InferenceServer::Degrade(Job* job) {
   Metrics().degraded->Increment();
-  f->response.degraded = true;
-  f->response.prefix_hit = false;
-  f->job->trace.Mark("degraded");
+  job->response.degraded = true;
+  job->response.prefix_hit = false;
+  job->trace.Mark("degraded");
   // The delivered stream restarts from scratch, so TTFT and the
   // inter-token clock restart with it.
-  f->generated.clear();
-  f->response.ttft_seconds = 0.0;
-  f->last_token_us = 0;
-  f->cache_entry.reset();
-  f->prefilled = false;
+  job->generated.clear();
+  job->response.ttft_seconds = 0.0;
+  job->last_token_us = 0;
+  job->cache_entry.reset();
+  job->prefilled = false;
 }
 
 void InferenceServer::SchedulerLoop() {
@@ -815,19 +746,19 @@ void InferenceServer::SchedulerLoop() {
   // rebuild it from scratch after a stalled step (DESIGN.md §14).
   auto session = std::make_unique<model::BatchedDecodeSession>(
       lm_, std::max<size_t>(1, options_.max_batch_rows));
-  std::vector<std::unique_ptr<Flight>> rows;
+  std::vector<std::unique_ptr<Job>> rows;
   const size_t max_seq = lm_.config().max_seq_len;
   const size_t vocab = lm_.config().vocab_size;
 
   // Parks a retiring row's prompt-boundary pages in the prefix cache.
   // Brownout level 2+ bypasses the write: lookups still serve existing
   // entries, but no new snapshots are taken or inserted under pressure.
-  auto park = [&](Flight* f) {
+  auto park = [&](Job* f) {
     if (f->cache_entry == nullptr) return;
     if (brownout_.level() >= kBrownoutBypassCacheLevel) return;
-    if (cache_.Insert(f->cache_entry) > 0) f->job->trace.Mark("cache_evict");
+    if (cache_.Insert(f->cache_entry) > 0) f->trace.Mark("cache_evict");
   };
-  auto release = [&](std::unique_ptr<Flight>* slot_owner) {
+  auto release = [&](std::unique_ptr<Job>* slot_owner) {
     session->ReleaseSlot((*slot_owner)->slot);
     slot_owner->reset();
   };
@@ -855,10 +786,9 @@ void InferenceServer::SchedulerLoop() {
       // Cancel in-flight rows (their partial streams are dropped — the
       // server is going away), then drain any jobs still queued (e.g. one
       // deferred back after Shutdown() swept the queue).
-      for (std::unique_ptr<Flight>& flight : rows) {
-        Deliver(flight.get(),
-                util::Status::Cancelled("server shutting down"));
-        session->ReleaseSlot(flight->slot);
+      for (std::unique_ptr<Job>& job : rows) {
+        Deliver(job.get(), util::Status::Cancelled("server shutting down"));
+        session->ReleaseSlot(job->slot);
       }
       rows.clear();
       inflight_rows_.store(0, std::memory_order_relaxed);
@@ -876,8 +806,8 @@ void InferenceServer::SchedulerLoop() {
       // every in-flight row with kUnavailable, rebuild the decode session,
       // and keep serving: the admission queue is untouched, so queued work
       // survives the restart (DESIGN.md §14 watchdog contract).
-      for (std::unique_ptr<Flight>& flight : rows) {
-        Deliver(flight.get(),
+      for (std::unique_ptr<Job>& job : rows) {
+        Deliver(job.get(),
                 util::Status::Unavailable(
                     "decode step stalled; batch failed by watchdog"));
       }
@@ -894,7 +824,7 @@ void InferenceServer::SchedulerLoop() {
     // step-token budget is spent. A decoding row feeds 1 token; a
     // degraded row waiting to re-prefill feeds its whole prompt. ---------
     size_t step_tokens = 0;
-    for (const std::unique_ptr<Flight>& f : rows) {
+    for (const std::unique_ptr<Job>& f : rows) {
       step_tokens += f->prefilled ? 1 : f->prompt_ids.size();
     }
     while (rows.size() < session->max_rows()) {
@@ -915,9 +845,9 @@ void InferenceServer::SchedulerLoop() {
     // loop per row; probes only cut a row short, they never change which
     // token is picked, so every stream stays bit-exact. ------------------
     std::vector<model::BatchedDecodeSession::RowInput> inputs;
-    std::vector<size_t> input_flight;
+    std::vector<size_t> input_row;
     for (size_t i = 0; i < rows.size(); ++i) {
-      Flight& f = *rows[i];
+      Job& f = *rows[i];
       if (HardCancel()) {
         Deliver(&f, util::Status::Cancelled("server shutting down"));
         release(&rows[i]);
@@ -940,14 +870,14 @@ void InferenceServer::SchedulerLoop() {
         f.step_begin_us = obs::NowMicros();
         inputs.push_back(model::BatchedDecodeSession::RowInput{
             f.slot, f.prompt_ids, adapter});
-        input_flight.push_back(i);
+        input_row.push_back(i);
         continue;
       }
-      int next = ArgmaxRow(f.next_row.data(), vocab);
+      int next = model::ArgmaxRow(f.next_row.data(), vocab);
       if (next != text::kEosId) {
         f.generated.push_back(next);
         NoteToken(&f);
-        f.job->trace.Phase("decode_step", f.step_begin_us, f.last_token_us);
+        f.trace.Phase("decode_step", f.step_begin_us, f.last_token_us);
         f.step_begin_us = f.last_token_us;
       }
       if (next == text::kEosId || f.generated.size() >= f.max_new ||
@@ -979,7 +909,7 @@ void InferenceServer::SchedulerLoop() {
       }
       inputs.push_back(
           model::BatchedDecodeSession::RowInput{f.slot, {next}, adapter});
-      input_flight.push_back(i);
+      input_row.push_back(i);
     }
 
     // --- One ragged batched forward for every surviving row. ------------
@@ -998,9 +928,9 @@ void InferenceServer::SchedulerLoop() {
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
         // Sweep rows already retired this iteration before re-entering the
-        // loop top, where recovery walks the surviving flights.
+        // loop top, where recovery walks the surviving rows.
         rows.erase(std::remove_if(rows.begin(), rows.end(),
-                                  [](const std::unique_ptr<Flight>& f) {
+                                  [](const std::unique_ptr<Job>& f) {
                                     return f == nullptr;
                                   }),
                    rows.end());
@@ -1013,7 +943,7 @@ void InferenceServer::SchedulerLoop() {
       size_t prefill_tokens = 0;
       size_t decode_tokens = 0;
       for (size_t j = 0; j < inputs.size(); ++j) {
-        if (rows[input_flight[j]]->prefilled) {
+        if (rows[input_row[j]]->prefilled) {
           ++decode_tokens;
         } else {
           prefill_tokens += inputs[j].tokens.size();
@@ -1024,7 +954,7 @@ void InferenceServer::SchedulerLoop() {
       estimator_.ObserveStep(prefill_tokens, decode_tokens,
                              step_watch.ElapsedSeconds());
       for (size_t j = 0; j < inputs.size(); ++j) {
-        Flight& f = *rows[input_flight[j]];
+        Job& f = *rows[input_row[j]];
         f.next_row = LastRow(logits[j]);
         if (!f.prefilled) {
           f.prefilled = true;
@@ -1042,13 +972,13 @@ void InferenceServer::SchedulerLoop() {
             f.cache_entry = std::move(entry);
           }
           int64_t now_us = obs::NowMicros();
-          f.job->trace.Phase("prefill", f.step_begin_us, now_us);
+          f.trace.Phase("prefill", f.step_begin_us, now_us);
           f.step_begin_us = now_us;
         }
       }
     }
     rows.erase(std::remove_if(rows.begin(), rows.end(),
-                              [](const std::unique_ptr<Flight>& f) {
+                              [](const std::unique_ptr<Job>& f) {
                                 return f == nullptr;
                               }),
                rows.end());
@@ -1069,13 +999,15 @@ void InferenceServer::WatchdogLoop() {
       if (watchdog_stop_) return;
       depth = admission_.size();
     }
-    // --- Brownout: feed queue occupancy through the hysteresis machine
-    // and surface the level (gauge for "now", histogram for occupancy-
-    // over-time, transitions counter for flap detection). ----------------
+    // --- Queue depth and brownout: sample the depth read above, feed
+    // queue occupancy through the hysteresis machine and surface the level
+    // (gauge for "now", histogram for occupancy-over-time, transitions
+    // counter for flap detection). ----------------------------------------
     double occupancy =
         static_cast<double>(depth) /
         static_cast<double>(std::max<size_t>(1, options_.queue_capacity));
     int level = brownout_.Tick(occupancy);
+    metrics.queue_depth_samples->Record(static_cast<double>(depth));
     metrics.brownout_level->Set(static_cast<double>(level));
     metrics.brownout_level_samples->Record(static_cast<double>(level));
     if (level != last_level) {

@@ -14,7 +14,6 @@
 #include "model/batched_session.h"
 #include "model/serve_adapter.h"
 #include "model/transformer.h"
-#include "obs/exporter.h"
 #include "obs/trace.h"
 #include "serve/adapter_registry.h"
 #include "serve/admission.h"
@@ -62,11 +61,6 @@ struct ServeOptions {
   /// util::BoundDeadline before each use (earliest bound wins), so retries
   /// never outlive the request NOR a server-wide retry deadline.
   util::RetryOptions retry;
-  /// Background metrics exporter (period 0 disables it). When enabled the
-  /// server owns the export thread, samples its queue depth into
-  /// `serve/queue_depth_samples` on every tick (before any user on_tick),
-  /// and stops the exporter — with a final flush — during Shutdown().
-  obs::ExporterOptions exporter;
   /// Multi-tenant admission policy: per-tenant WDRR weights, queue caps,
   /// and token-bucket rate limits (DESIGN.md §14). The global bound is
   /// `queue_capacity` above.
@@ -92,10 +86,10 @@ struct ServeOptions {
 };
 
 /// Validates `options` (zero batch/queue sizes, negative deadlines,
-/// exporter-less tick hooks, inverted brownout hysteresis, ...). The
-/// server runs this at construction and fails fast: an invalid server
-/// resolves every Submit() with the validation error instead of feeding
-/// undefined scheduler behavior.
+/// inverted brownout hysteresis, ...). The server runs this at
+/// construction and fails fast: an invalid server resolves every Submit()
+/// with the validation error instead of feeding undefined scheduler
+/// behavior.
 util::Status ValidateServeOptions(const ServeOptions& options);
 
 /// One inference request. `max_new_tokens` 0 and `deadline` 0 fall back to
@@ -258,30 +252,22 @@ class InferenceServer {
   }
 
  private:
+  /// One request from Submit() to Deliver(): queued behind the admission
+  /// Item base, then owned by the scheduler as a batch row. A job deferred
+  /// by the step-token budget goes back to the queue head as the same
+  /// object, keeping its tokenized prompt and its absorbed-retry count.
   struct Job : AdmissionController::Item {
     Request request;
     std::promise<Response> promise;
+    Response response;  // assembled in place; request_id set by Submit()
     // Absolute deadline; the epoch default means none.
     std::chrono::steady_clock::time_point deadline{};
     std::chrono::steady_clock::time_point enqueued{};
     // Request-scoped trace handle, allocated at admission; every lifecycle
     // event for this request lands on its async track.
     obs::RequestTrace trace;
-    // Admission work cached across budget deferrals: a job pushed back to
-    // the queue head re-enters admission without re-firing the tokenize
-    // fault point or losing its absorbed-retry count.
-    bool tokenized = false;
-    std::vector<int> prompt_ids;
-    int carried_retries = 0;
-  };
-
-  /// One admitted request's in-flight state: its batch slot, decode
-  /// progress, and the response being assembled. Owned by the scheduler
-  /// until retirement.
-  struct Flight {
-    std::unique_ptr<Job> job;
-    Response response;
-    util::Stopwatch watch;  // processing clock, started at admission
+    util::Stopwatch watch;  // processing clock, reset per admission attempt
+    // Empty until tokenized: every encoding starts with <bos>.
     std::vector<int> prompt_ids;
     size_t max_new = 0;
     std::vector<int> generated;
@@ -290,7 +276,7 @@ class InferenceServer {
     // Prompt-boundary snapshot shared with / destined for the PrefixCache.
     std::shared_ptr<const PrefixCache::Entry> cache_entry;
     // Adapter version pinned at admission (null = base model). The
-    // shared_ptr keeps the weights alive for the flight's whole lifetime,
+    // shared_ptr keeps the weights alive for the job's whole lifetime,
     // across any number of swaps (epoch pinning, DESIGN.md §12).
     std::shared_ptr<const AdapterVersion> version;
     size_t slot = 0;
@@ -300,11 +286,11 @@ class InferenceServer {
 
   void SchedulerLoop() EXCLUDES(mu_);
 
-  /// Watchdog thread body: once per `watchdog_interval` it feeds queue
-  /// occupancy to the brownout controller and checks the scheduler
-  /// heartbeat; a heartbeat frozen for `watchdog_stall_timeout` while work
-  /// is pending raises `serve/watchdog_stalls` and aborts the stuck batch
-  /// (DESIGN.md §14).
+  /// Watchdog thread body: once per `watchdog_interval` it samples queue
+  /// depth into `serve/queue_depth_samples`, feeds queue occupancy to the
+  /// brownout controller, and checks the scheduler heartbeat; a heartbeat
+  /// frozen for `watchdog_stall_timeout` while work is pending raises
+  /// `serve/watchdog_stalls` and aborts the stuck batch (DESIGN.md §14).
   void WatchdogLoop() EXCLUDES(mu_);
 
   /// Admits a popped admission entry into `rows`. Returns false when the
@@ -312,14 +298,14 @@ class InferenceServer {
   /// prefill does not fit the current step's token budget.
   bool AdmitOne(AdmissionController::Entry entry,
                 model::BatchedDecodeSession* session,
-                std::vector<std::unique_ptr<Flight>>* rows,
+                std::vector<std::unique_ptr<Job>>* rows,
                 size_t* step_tokens) EXCLUDES(mu_);
 
-  /// Marks `flight` degraded and restarts it from its prompt: the stream
+  /// Marks `job` degraded and restarts it from its prompt: the stream
   /// so far is dropped and the row re-prefills into an empty slot, which
   /// the caller provides. From then on it fires no prefill/decode fault
   /// points and neither reads nor writes the prefix cache.
-  void Degrade(Flight* flight);
+  void Degrade(Job* job);
 
   /// Resolves queued jobs that never reached the batch with kUnavailable.
   void CancelQueued(std::vector<AdmissionController::Entry> entries);
@@ -327,20 +313,19 @@ class InferenceServer {
   /// Terminal accounting: classifies `status` into the conservation
   /// counters, records per-outcome latency, closes the request's trace
   /// track, and resolves the promise.
-  void Deliver(Flight* flight, util::Status status);
+  void Deliver(Job* job, util::Status status);
 
   /// TTFT / inter-token bookkeeping for the token just appended.
-  void NoteToken(Flight* flight);
+  void NoteToken(Job* job);
 
   /// Runs `step` under the request-deadline-bounded retry policy,
-  /// accumulating retry counts into the flight's response.
-  util::Status RetryStep(Flight* flight,
-                         const std::function<util::Status()>& step,
+  /// accumulating retry counts into the job's response.
+  util::Status RetryStep(Job* job, const std::function<util::Status()>& step,
                          const std::string& what);
 
-  bool Expired(const Flight& flight) const {
-    return flight.job->deadline != std::chrono::steady_clock::time_point{} &&
-           std::chrono::steady_clock::now() >= flight.job->deadline;
+  bool Expired(const Job& job) const {
+    return job.deadline != std::chrono::steady_clock::time_point{} &&
+           std::chrono::steady_clock::now() >= job.deadline;
   }
 
   /// True once work must be cancelled NOW: either an immediate shutdown,
@@ -355,7 +340,6 @@ class InferenceServer {
   const text::Tokenizer& tokenizer_;
   const ServeOptions options_;
   PrefixCache cache_;
-  std::unique_ptr<obs::MetricsExporter> exporter_;
   // ValidateServeOptions() result: written in the constructor before any
   // thread exists, read-only afterwards (safe unguarded).
   util::Status init_status_;

@@ -1,70 +1,12 @@
 #include "util/atomic_file.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
 
+#include "obs/atomic_io.h"
 #include "obs/manifest.h"
 #include "util/logging.h"
 
 namespace infuserki::util {
-namespace {
-
-Status WriteOnceAtomic(const std::string& path, std::string_view contents) {
-  const std::string tmp = path + ".tmp";
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                  0644);
-  if (fd < 0) {
-    return Status::Internal("cannot open " + tmp + ": " +
-                            std::strerror(errno));
-  }
-  auto fail = [&](const std::string& what) {
-    int saved = errno;
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return Status::Internal(what + " " + tmp + ": " + std::strerror(saved));
-  };
-  size_t offset = 0;
-  while (offset < contents.size()) {
-    ssize_t n = ::write(fd, contents.data() + offset,
-                        contents.size() - offset);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return fail("short write to");
-    }
-    offset += static_cast<size_t>(n);
-  }
-  if (::fsync(fd) != 0) return fail("fsync of");
-  if (::close(fd) != 0) {
-    fd = -1;
-    int saved = errno;
-    ::unlink(tmp.c_str());
-    return Status::Internal("close of " + tmp + ": " +
-                            std::strerror(saved));
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    ::unlink(tmp.c_str());
-    return Status::Internal("rename " + tmp + " -> " + path + ": " +
-                            ec.message());
-  }
-  // Durability of the rename itself: fsync the containing directory.
-  // Best-effort — a failure here cannot tear the file.
-  std::filesystem::path parent = std::filesystem::path(path).parent_path();
-  if (parent.empty()) parent = ".";
-  int dir_fd = ::open(parent.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dir_fd >= 0) {
-    ::fsync(dir_fd);
-    ::close(dir_fd);
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Status WriteFileAtomic(const std::string& path, std::string_view contents,
                        const std::string& fault_point,
@@ -72,7 +14,11 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents,
   return RetryWithBackoff(
       [&]() -> Status {
         RETURN_IF_ERROR(FAULT_POINT(fault_point));
-        return WriteOnceAtomic(path, contents);
+        std::string error;
+        if (!obs::WriteFileAtomically(path, contents, &error)) {
+          return Status::Internal(error);
+        }
+        return Status::OK();
       },
       retry, path);
 }

@@ -10,12 +10,12 @@
 
 namespace infuserki::util {
 
-/// Publishes `contents` at `path` atomically: the bytes are written to
-/// `path.tmp`, flushed and fsync'd, then renamed over `path`, so readers
-/// only ever observe the old file or the complete new one — never a torn
-/// write. The named failpoint is hit once per attempt, and transient
-/// failures (injected or real kInternal I/O errors) are retried with
-/// exponential backoff.
+/// Publishes `contents` at `path` atomically through
+/// obs::WriteFileAtomically (tmp -> fsync -> rename -> directory fsync), so
+/// readers only ever observe the old file or the complete new one — never
+/// a torn write. The named failpoint is hit once per attempt, and
+/// transient failures (injected or real kInternal I/O errors, whose
+/// message names the failed step) are retried with exponential backoff.
 Status WriteFileAtomic(const std::string& path, std::string_view contents,
                        const std::string& fault_point = "io/atomic_write",
                        const RetryOptions& retry = {});

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -160,27 +159,6 @@ TEST(MetricsExporter, WindowedRatesAppearInNdjson) {
   EXPECT_NE(lines[1].find("\"window\""), std::string::npos);
   EXPECT_NE(lines[1].find("\"counter_rates\""), std::string::npos);
   EXPECT_NE(lines[1].find("\"test/exporter_window\""), std::string::npos);
-  std::remove(ndjson.c_str());
-}
-
-TEST(MetricsExporter, OnTickRunsBeforeEachExport) {
-  std::string ndjson = TempPath("exporter_on_tick.ndjson");
-  std::remove(ndjson.c_str());
-  Registry::Get().GetGauge("test/exporter_sampled")->Reset();
-  std::atomic<int> calls{0};
-  ExporterOptions options;
-  options.ndjson_path = ndjson;
-  options.on_tick = [&calls] {
-    int n = calls.fetch_add(1) + 1;
-    Registry::Get().GetGauge("test/exporter_sampled")->Set(n);
-  };
-  MetricsExporter exporter(options);
-  exporter.TickNow();
-  EXPECT_EQ(calls.load(), 1);
-  std::vector<std::string> lines = ReadLines(ndjson);
-  ASSERT_EQ(lines.size(), 1u);
-  // The snapshot taken on the same tick already sees the sampled value.
-  EXPECT_NE(lines[0].find("\"test/exporter_sampled\":1"), std::string::npos);
   std::remove(ndjson.c_str());
 }
 

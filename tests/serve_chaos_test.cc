@@ -29,6 +29,7 @@
 #include "model/generation.h"
 #include "model/serve_adapter.h"
 #include "model/transformer.h"
+#include "obs/exporter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/adapter_registry.h"
@@ -140,10 +141,13 @@ TEST(ServeChaos, SoakSurvivesComputeAndIoFaults) {
   options.kv_budget_tokens = 20;
   options.default_max_new_tokens = kMaxNew;
   options.retry = {.max_attempts = 3, .base_delay_ms = 1};
-  // Live exporter soaking alongside the chaos: queue-depth sampling plus
-  // periodic NDJSON appends while every fault point fires.
-  options.exporter.period = milliseconds(20);
-  options.exporter.ndjson_path = ndjson_path;
+  // Live exporter soaking beside the chaos: periodic NDJSON appends of the
+  // registry (including the watchdog's queue-depth samples) while every
+  // fault point fires.
+  obs::ExporterOptions exporter_options;
+  exporter_options.period = milliseconds(20);
+  exporter_options.ndjson_path = ndjson_path;
+  obs::MetricsExporter exporter(exporter_options);
   InferenceServer server(lm, tokenizer, options);
 
   struct Outcome {
@@ -256,6 +260,7 @@ TEST(ServeChaos, SoakSurvivesComputeAndIoFaults) {
   EXPECT_GE(snapshot.gauges.at("serve/batch_size"), 0.0);
 
   server.Shutdown();
+  exporter.Stop();
 
   // Request-scoped tracing: every request — served, shed, deadline-missed,
   // or failed — carries a process-unique id and renders as one async track
@@ -291,7 +296,7 @@ TEST(ServeChaos, SoakSurvivesComputeAndIoFaults) {
   }
   EXPECT_EQ(seen_ids.size(), kRequests);
 
-  // The exporter soaked through the chaos and Shutdown() flushed a final
+  // The exporter soaked through the chaos and Stop() flushed a final
   // record, so the NDJSON stream ends on the post-soak totals.
   std::string ndjson = ReadFile(ndjson_path);
   ASSERT_FALSE(ndjson.empty());

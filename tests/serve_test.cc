@@ -398,8 +398,7 @@ TEST_F(ServeFixture, ShutdownCancelsQueuedAndRejectsNewRequests) {
       ServeOptions{.max_batch_rows = 1,
                    .retry = {.max_attempts = 2,
                              .base_delay_ms = 300,
-                             .multiplier = 1.0},
-                   .exporter = {}});
+                             .multiplier = 1.0}});
 
   std::future<Response> in_flight = server->Submit({prompt, 8});
   while (server->queue_depth() > 0) {
@@ -1071,6 +1070,26 @@ TEST_F(ServeFixture, WatchdogFailsStalledBatchAndRecovers) {
                 registry.GetCounter("serve/deadline_misses")->Value() +
                 registry.GetCounter("serve/cancelled")->Value() +
                 registry.GetCounter("serve/failures")->Value());
+}
+
+TEST_F(ServeFixture, WatchdogSamplesQueueDepthWithoutExporter) {
+  // No exporter runs: the watchdog alone records one queue-depth sample per
+  // watchdog_interval.
+  obs::Histogram* samples =
+      obs::Registry::Get().GetHistogram("serve/queue_depth_samples");
+  const uint64_t before = samples->Count();
+  ServeOptions options;
+  options.watchdog_interval = milliseconds(5);
+  InferenceServer server(*lm_, *tokenizer_, options);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (samples->Count() < before + 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(milliseconds(5));
+  }
+  EXPECT_GE(samples->Count(), before + 2);
+  server.Shutdown();
 }
 
 TEST_F(ServeFixture, TenantCapShedsFlooderButServesOthers) {
