@@ -113,6 +113,48 @@ void BM_CausalSelfAttention(benchmark::State& state) {
 }
 BENCHMARK(BM_CausalSelfAttention)->Arg(16)->Arg(64);
 
+/// Times `loss.Backward()` alone (manual time): the forward that records the
+/// graph and the ZeroGrad calls between iterations are left out.
+template <typename MakeLoss>
+void TimeBackward(benchmark::State& state, const std::vector<Tensor>& inputs,
+                  MakeLoss make_loss) {
+  for (auto _ : state) {
+    Tensor loss = make_loss();
+    auto start = std::chrono::steady_clock::now();
+    loss.Backward();
+    std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    state.SetIterationTime(elapsed.count());
+    for (const Tensor& input : inputs) input.ZeroGrad();
+  }
+}
+
+/// The attention backward at the model's shape (dim 64, 4 heads, dh 16)
+/// for T query rows, behind SumAll(Mul(out, w)) so dO is not constant.
+void BM_CausalSelfAttentionBackward(benchmark::State& state) {
+  size_t t = static_cast<size_t>(state.range(0));
+  util::Rng rng(3);
+  Tensor q = Tensor::Randn({t, 64}, &rng, 1.0f, true);
+  Tensor k = Tensor::Randn({t, 64}, &rng, 1.0f, true);
+  Tensor v = Tensor::Randn({t, 64}, &rng, 1.0f, true);
+  Tensor w = Tensor::Randn({t, 64}, &rng);
+  TimeBackward(state, {q, k, v}, [&] {
+    return SumAll(Mul(CausalSelfAttention(q, k, v, 4), w));
+  });
+}
+BENCHMARK(BM_CausalSelfAttentionBackward)->Arg(16)->Arg(64)->UseManualTime();
+
+/// A Linear bias add, x[rows, 128] + b[128], with both operands requiring
+/// grad: the bias gradient sums the upstream gradient over rows.
+void BM_AddBiasBackward(benchmark::State& state) {
+  size_t rows = static_cast<size_t>(state.range(0));
+  util::Rng rng(8);
+  Tensor x = Tensor::Randn({rows, 128}, &rng, 1.0f, true);
+  Tensor b = Tensor::Randn({128}, &rng, 1.0f, true);
+  TimeBackward(state, {x, b}, [&] { return SumAll(Add(x, b)); });
+}
+BENCHMARK(BM_AddBiasBackward)->Arg(64)->UseManualTime();
+
 void BM_LmForward(benchmark::State& state) {
   model::TransformerConfig config;
   config.vocab_size = 1000;

@@ -41,9 +41,10 @@
 # 8. Builds the ThreadSanitizer preset and runs the concurrency gate
 #    (race_stress_test plus the threadpool / kv-cache / obs / exporter /
 #    serve suites, including the chaos soak and the batched-decode
-#    bit-exactness suite, and the GEMM kernel's pool-width test) with
-#    fail-fast TSAN_OPTIONS — zero reports
-#    allowed (tsan.supp is reserved for documented third-party noise; see
+#    bit-exactness suite, the GEMM kernel's pool-width test and the
+#    training backward's oracle test, whose attention heads run in
+#    parallel) with fail-fast TSAN_OPTIONS — zero reports allowed
+#    (tsan.supp is reserved for documented third-party noise; see
 #    DESIGN.md §9).
 # 9. Builds the whole tree under the Clang Thread Safety Analysis
 #    (-Werror=thread-safety, the tsa preset) and runs the
@@ -342,11 +343,11 @@ cmake -B "$TSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "$TSAN_DIR" -j --target \
   race_stress_test threadpool_test kv_cache_test obs_test \
   obs_exporter_test serve_test serve_chaos_test batched_decode_test \
-  adapter_registry_test admission_test gemm_kernel_test
+  adapter_registry_test admission_test gemm_kernel_test backward_oracle_test
 for tsan_test in race_stress_test threadpool_test kv_cache_test obs_test \
                  obs_exporter_test serve_test serve_chaos_test \
                  batched_decode_test adapter_registry_test \
-                 admission_test gemm_kernel_test; do
+                 admission_test gemm_kernel_test backward_oracle_test; do
   TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1:suppressions=$(pwd)/tsan.supp" \
     "$TSAN_DIR/tests/$tsan_test"
 done

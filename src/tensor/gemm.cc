@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "tensor/simd.h"
 #include "util/threadpool.h"
 
 namespace infuserki::tensor {
@@ -15,14 +15,10 @@ namespace {
 constexpr size_t kNr = 16;
 constexpr size_t kMr = 4;
 
-// GCC/Clang generic vectors as wide as the target keeps in registers: 16
-// floats under AVX-512, 8 under AVX, 4 under SSE or NEON. Lanes never mix,
-// so the width changes speed, never an element's arithmetic.
-constexpr size_t kVecBytes =
-    std::clamp<size_t>(__BIGGEST_ALIGNMENT__, 16, kNr * sizeof(float));
-constexpr size_t kLanes = kVecBytes / sizeof(float);
+using internal::kLanes;
+using internal::Vec;
+static_assert(kNr % kLanes == 0);
 constexpr size_t kVecs = kNr / kLanes;  // vectors per panel row
-using Vec = float __attribute__((vector_size(kVecBytes)));
 
 // Rows of A handed to one pool task: bounds how often a packed panel is
 // reused before the next task packs it again.
@@ -85,27 +81,6 @@ void Tile(const float* const* a_rows, size_t a_col_stride, const float* panel,
   }
 }
 
-// One stage of an in-register kLanes x kLanes transpose: rows i and i + S
-// trade their off-diagonal S-wide blocks. After stages S = kLanes / 2, ...,
-// 1, row i holds what was column i.
-template <size_t S, size_t... L>
-void SwapBlocks(Vec& lo, Vec& hi, std::index_sequence<L...>) {
-  Vec a = lo;
-  lo = __builtin_shufflevector(a, hi, ((L & S) ? kLanes + L - S : L)...);
-  hi = __builtin_shufflevector(a, hi, ((L & S) ? kLanes + L : L + S)...);
-}
-
-template <size_t S = kLanes / 2>
-void Transpose(Vec* rows) {
-#pragma GCC unroll 16
-  for (size_t i = 0; i < kLanes; ++i) {
-    if ((i & S) == 0) {
-      SwapBlocks<S>(rows[i], rows[i + S], std::make_index_sequence<kLanes>());
-    }
-  }
-  if constexpr (S > 1) Transpose<S / 2>(rows);
-}
-
 // Copies columns [j0, j0 + cols) of B into a k x kNr panel, zero-filling
 // lanes past `cols`. When B's columns are contiguous (the MatmulNT weight
 // layout), kLanes x kLanes blocks are transposed in registers.
@@ -126,7 +101,7 @@ void PackPanel(const Operand& b, size_t j0, size_t cols, size_t k,
                         sizeof(Vec));
           }
         }
-        Transpose(block);
+        internal::Transpose(block);
 #pragma GCC unroll 16
         for (size_t i = 0; i < kLanes; ++i) {
           std::memcpy(panel + (p + i) * kNr + g, &block[i], sizeof(Vec));

@@ -6,12 +6,15 @@
 
 #include "obs/metrics.h"
 #include "tensor/gemm.h"
+#include "tensor/simd.h"
 #include "util/threadpool.h"
 
 namespace infuserki::tensor {
 namespace {
 
+using internal::kLanes;
 using internal::TensorImpl;
+using internal::Vec;
 
 // Ragged attention calls below this many multiply-adds run inline:
 // thread-pool dispatch (schedule + wait) costs more than the arithmetic.
@@ -94,6 +97,86 @@ void AttendQueryRow(const float* qrow, const float* kp, const float* vp,
   }
 }
 
+// Hides `v` from the optimizer, so the multiply that produced it is rounded
+// on its own and never fused into the add that consumes it.
+inline void RoundProduct(Vec& v) {
+#if defined(__x86_64__) || defined(__i386__)
+  asm("" : "+x"(v));
+#elif defined(__aarch64__)
+  asm("" : "+w"(v));
+#else
+  asm("" : "+m"(v));
+#endif
+}
+
+/// dA_j = dO . V_j for the first `limit` keys of one (head, query row) of the
+/// attention backward, into `da`. `vp` points at the head's first column of
+/// value row 0 (row stride `d`). Each dot sums from 0 over ascending c. The
+/// scalar loop defines the result. When dh is a multiple of the vector
+/// width, GCC -O3 vectorizes it as a vector multiply followed by in-order
+/// adds that are never fused; the lanes path reproduces exactly that with
+/// one key per lane, so no sum crosses lanes.
+void ValueDots(const float* grow, const float* vp, size_t d, size_t dh,
+               size_t limit, float* da) {
+  if (dh % kLanes != 0) {
+    for (size_t j = 0; j < limit; ++j) {
+      const float* vrow = vp + j * d;
+      float acc = 0.0f;
+      for (size_t c = 0; c < dh; ++c) acc += grow[c] * vrow[c];
+      da[j] = acc;
+    }
+    return;
+  }
+  for (size_t j0 = 0; j0 < limit; j0 += kLanes) {
+    size_t keys = std::min(kLanes, limit - j0);
+    Vec acc = {};
+    for (size_t c0 = 0; c0 < dh; c0 += kLanes) {
+      // block[c] holds column c0 + c of value rows j0 .. j0 + kLanes - 1.
+      Vec block[kLanes] = {};
+      for (size_t l = 0; l < keys; ++l) {
+        std::memcpy(&block[l], vp + (j0 + l) * d + c0, sizeof(Vec));
+      }
+      internal::Transpose(block);
+#pragma GCC unroll 16
+      for (size_t c = 0; c < kLanes; ++c) {
+        Vec product = grow[c0 + c] * block[c];
+        RoundProduct(product);
+        acc += product;
+      }
+    }
+    for (size_t l = 0; l < keys; ++l) da[j0 + l] = acc[l];
+  }
+}
+
+/// dQ_i += sum_j dS_ij K_j over the first `limit` keys in ascending j,
+/// skipping dS_ij == 0, as `q += s * k` per element. When dh is a multiple
+/// of kLanes, each kLanes-wide slice of dQ_i stays in a register across
+/// keys instead of being loaded and stored per key.
+void AccumulateKeyRows(const float* ds, const float* kp, size_t d, size_t dh,
+                       size_t limit, float* qgrow) {
+  if (dh % kLanes != 0) {
+    for (size_t j = 0; j < limit; ++j) {
+      float s = ds[j];
+      if (s == 0.0f) continue;
+      const float* krow = kp + j * d;
+      for (size_t c = 0; c < dh; ++c) qgrow[c] += s * krow[c];
+    }
+    return;
+  }
+  for (size_t c0 = 0; c0 < dh; c0 += kLanes) {
+    Vec acc;
+    std::memcpy(&acc, qgrow + c0, sizeof acc);
+    for (size_t j = 0; j < limit; ++j) {
+      float s = ds[j];
+      if (s == 0.0f) continue;
+      Vec k;
+      std::memcpy(&k, kp + j * d + c0, sizeof k);
+      acc += s * k;
+    }
+    std::memcpy(qgrow + c0, &acc, sizeof acc);
+  }
+}
+
 // Elementwise unary op with pointwise derivative computed from saved
 // input and/or output values.
 template <typename ForwardFn, typename BackwardFn>
@@ -140,7 +223,11 @@ Tensor Add(const Tensor& a, const Tensor& b) {
           if (b.requires_grad()) {
             float* bg = b.impl()->MutableGrad();
             size_t bn = b.size();
-            for (size_t i = 0; i < n; ++i) bg[i % bn] += g[i];
+            // Row by row, so bg[j] sums g[j], g[j + bn], ... in ascending
+            // order with no division per element.
+            for (size_t base = 0; base < n; base += bn) {
+              for (size_t j = 0; j < bn; ++j) bg[j] += g[base + j];
+            }
           }
         };
       });
@@ -168,7 +255,9 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
           if (b.requires_grad()) {
             float* bg = b.impl()->MutableGrad();
             size_t bn = b.size();
-            for (size_t i = 0; i < n; ++i) bg[i % bn] -= g[i];
+            for (size_t base = 0; base < n; base += bn) {
+              for (size_t j = 0; j < bn; ++j) bg[j] -= g[base + j];
+            }
           }
         };
       });
@@ -194,11 +283,19 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
           size_t bn = b.size();
           if (a.requires_grad()) {
             float* ag = a.impl()->MutableGrad();
-            for (size_t i = 0; i < n; ++i) ag[i] += g[i] * bp[i % bn];
+            for (size_t base = 0; base < n; base += bn) {
+              for (size_t j = 0; j < bn; ++j) {
+                ag[base + j] += g[base + j] * bp[j];
+              }
+            }
           }
           if (b.requires_grad()) {
             float* bg = b.impl()->MutableGrad();
-            for (size_t i = 0; i < n; ++i) bg[i % bn] += g[i] * ap[i];
+            for (size_t base = 0; base < n; base += bn) {
+              for (size_t j = 0; j < bn; ++j) {
+                bg[j] += g[base + j] * ap[base + j];
+              }
+            }
           }
         };
       });
@@ -336,12 +433,35 @@ Tensor Gelu(const Tensor& a) {
 }
 
 Tensor Silu(const Tensor& a) {
-  return UnaryOp(
-      a,
-      [](float x) { return x / (1.0f + std::exp(-x)); },
-      [](float x, float) {
-        float s = 1.0f / (1.0f + std::exp(-x));
-        return s * (1.0f + x * (1.0f - s));
+  const float* in = a.data();
+  std::vector<float> out(a.size());
+  if (!GradEnabled() || !a.requires_grad()) {
+    for (size_t i = 0; i < out.size(); ++i) {
+      out[i] = in[i] / (1.0f + std::exp(-in[i]));
+    }
+    return Tensor::FromData(a.shape(), std::move(out));
+  }
+  // y = x / den with den = 1 + exp(-x). The backward's sigmoid is 1 / den,
+  // so keeping den spares it a second exp.
+  auto den = std::make_shared<std::vector<float>>(a.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    float dn = 1.0f + std::exp(-in[i]);
+    (*den)[i] = dn;
+    out[i] = in[i] / dn;
+  }
+  return Tensor::MakeOpResult(
+      a.shape(), std::move(out), {a}, [a, den](TensorImpl* result) {
+        result->backward_fn = [a, den, result]() {
+          if (!a.requires_grad()) return;
+          float* agrad = a.impl()->MutableGrad();
+          const float* g = result->grad.data();
+          const float* x = a.data();
+          const float* dn = den->data();
+          for (size_t i = 0; i < result->data.size(); ++i) {
+            float s = 1.0f / dn[i];
+            agrad[i] += g[i] * (s * (1.0f + x[i] * (1.0f - s)));
+          }
+        };
       });
 }
 
@@ -778,14 +898,12 @@ Tensor CausalSelfAttention(const Tensor& q, const Tensor& k, const Tensor& v,
                 const float* arow = ah + i * tk;
                 const float* grow = g + i * d + off;
                 // dA_j = dO . V_j ; dV_j += A_j * dO
-                for (size_t j = 0; j < limit; ++j) {
-                  const float* vrow = vp + j * d + off;
-                  float acc = 0.0f;
-                  for (size_t c = 0; c < dh; ++c) acc += grow[c] * vrow[c];
-                  da[j] = acc;
-                  if (vg != nullptr && arow[j] != 0.0f) {
-                    float* vgrow = vg + j * d + off;
+                ValueDots(grow, vp + off, d, dh, limit, da.data());
+                if (vg != nullptr) {
+                  for (size_t j = 0; j < limit; ++j) {
                     float a = arow[j];
+                    if (a == 0.0f) continue;
+                    float* vgrow = vg + j * d + off;
                     for (size_t c = 0; c < dh; ++c) vgrow[c] += a * grow[c];
                   }
                 }
@@ -795,17 +913,19 @@ Tensor CausalSelfAttention(const Tensor& q, const Tensor& k, const Tensor& v,
                 for (size_t j = 0; j < limit; ++j) {
                   ds[j] = arow[j] * (da[j] - dot) * scale;
                 }
-                // dQ_i += sum_j dS_ij K_j ; dK_j += dS_ij Q_i
-                const float* qrow = qp + i * d + off;
-                float* qgrow = qg != nullptr ? qg + i * d + off : nullptr;
-                for (size_t j = 0; j < limit; ++j) {
-                  float s = ds[j];
-                  if (s == 0.0f) continue;
-                  const float* krow = kp + j * d + off;
-                  if (qgrow != nullptr) {
-                    for (size_t c = 0; c < dh; ++c) qgrow[c] += s * krow[c];
-                  }
-                  if (kg != nullptr) {
+                // dQ_i += sum_j dS_ij K_j ; dK_j += dS_ij Q_i. dQ_i is done
+                // before any dK_j moves. Where q and k are one tensor,
+                // prefix_len is 0 and key i is row i's last, so the one
+                // element both touch is still added to in the same order.
+                if (qg != nullptr) {
+                  AccumulateKeyRows(ds.data(), kp + off, d, dh, limit,
+                                    qg + i * d + off);
+                }
+                if (kg != nullptr) {
+                  const float* qrow = qp + i * d + off;
+                  for (size_t j = 0; j < limit; ++j) {
+                    float s = ds[j];
+                    if (s == 0.0f) continue;
                     float* kgrow = kg + j * d + off;
                     for (size_t c = 0; c < dh; ++c) kgrow[c] += s * qrow[c];
                   }
