@@ -9,7 +9,6 @@
 
 #include "core/infuserki.h"
 #include "eval/experiment.h"
-#include "obs/exporter.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -91,15 +90,6 @@ inline EpochBudget MakeBudget(const util::Flags& flags) {
 /// either output is requested, and on destruction (or Finish()) writes the
 /// Chrome trace and the JSON run manifest.
 ///
-/// Live-export flags (period > 0 starts a session-owned background
-/// exporter immediately; Finish() stops it with a final flush):
-///   --metrics_export_every=<ms>   exporter tick period; 0 disables
-///   --metrics_export_ndjson=<p>   NDJSON time-series output path
-///   --prom_out=<p>                Prometheus text-exposition output path
-///   --metrics_window_s=<s>        sliding-window horizon (default 30)
-/// The exporter only snapshots the registry: components sample their own
-/// periodic metrics (e.g. the serve watchdog's queue depth).
-///
 /// Construct it before Experiment::Setup() so the setup spans are captured.
 class ObsSession {
  public:
@@ -107,20 +97,8 @@ class ObsSession {
       : manifest_(bench_name),
         trace_out_(flags.GetString("trace_out", "")),
         metrics_out_(flags.GetString("metrics_out", "")) {
-    obs::ExporterOptions exporter_options;
-    exporter_options.period = std::chrono::milliseconds(
-        flags.GetInt("metrics_export_every", 0));
-    exporter_options.ndjson_path =
-        flags.GetString("metrics_export_ndjson", "");
-    exporter_options.prometheus_path = flags.GetString("prom_out", "");
-    exporter_options.window_seconds = static_cast<double>(
-        flags.GetInt("metrics_window_s", 30));
     if (!trace_out_.empty() || !metrics_out_.empty()) {
       obs::Tracer::Get().Enable();
-    }
-    if (exporter_options.period.count() > 0) {
-      exporter_ = std::make_unique<obs::MetricsExporter>(
-          std::move(exporter_options));
     }
   }
 
@@ -166,7 +144,6 @@ class ObsSession {
   void Finish() {
     if (finished_) return;
     finished_ = true;
-    if (exporter_ != nullptr) exporter_->Stop();
     if (!trace_out_.empty()) {
       if (obs::Tracer::Get().WriteChromeTrace(trace_out_)) {
         std::cout << "(wrote chrome trace " << trace_out_
@@ -189,7 +166,6 @@ class ObsSession {
   obs::RunManifest manifest_;
   std::string trace_out_;
   std::string metrics_out_;
-  std::unique_ptr<obs::MetricsExporter> exporter_;
   bool finished_ = false;
 };
 

@@ -1,32 +1,31 @@
 // Engineering micro-benchmarks (google-benchmark) for the tensor/autograd
-// substrate: the per-op costs that dominate experiment wall-clock.
+// substrate: the per-op costs that dominate experiment wall-clock, plus the
+// serving layer's batched-vs-sequential throughput (BM_ServeFlood).
 //
-// Accepts --metrics_out=<path> / --trace_out=<path> plus the live-export
-// flags --metrics_export_every=<ms> / --metrics_export_ndjson=<path> /
-// --prom_out=<path> in addition to the standard google-benchmark flags;
-// these are stripped from argv before benchmark::Initialize (which rejects
-// flags it does not know).
+// Accepts --metrics_out=<path> / --trace_out=<path> in addition to the
+// standard google-benchmark flags; they are stripped from argv before
+// benchmark::Initialize (which rejects flags it does not know).
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <memory>
+#include <future>
 #include <string>
 #include <vector>
 
 #include "model/batched_session.h"
 #include "model/pretrain.h"
 #include "model/transformer.h"
-#include "obs/exporter.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/server.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tests/gemm_reference.h"
+#include "text/tokenizer.h"
 #include "util/crc32.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -238,6 +237,74 @@ void BM_LmTrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_LmTrainStep);
 
+/// Continuous-batching throughput: floods one InferenceServer with 256
+/// requests over eight short prompts on a tiny untrained model (dim 8, one
+/// layer; serving cost does not depend on weight values) and times
+/// submit-to-last-response at max_batch_rows = range(0). Model and server
+/// set-up and shutdown stay outside the timed loop. scripts/check_build.sh
+/// gates the width-1 time over the width-8 time of the same run at >= 2x.
+/// Every request must be served: a shed or failed one would flatter the
+/// wider round, so the benchmark reports an error instead.
+void BM_ServeFlood(benchmark::State& state) {
+  constexpr size_t kRequests = 256;
+  constexpr size_t kMaxNew = 16;
+  const std::vector<std::string> corpus = {
+      "alpha beta gamma delta epsilon zeta eta theta iota kappa",
+      "lambda mu nu xi omicron pi rho sigma tau upsilon phi chi",
+  };
+  const std::vector<std::string> prompts = {
+      "alpha beta gamma",
+      "lambda mu nu xi",
+      "sigma tau upsilon phi chi",
+      "theta iota kappa lambda mu nu",
+      "epsilon zeta",
+      "pi rho sigma",
+      "chi phi upsilon tau",
+      "beta delta zeta theta kappa",
+  };
+  text::Tokenizer tokenizer = text::Tokenizer::Build(corpus);
+  model::TransformerConfig config;
+  config.vocab_size = tokenizer.vocab_size();
+  config.dim = 8;
+  config.num_layers = 1;
+  config.num_heads = 2;
+  config.ffn_hidden = config.dim * 2;
+  config.max_seq_len = 48;
+  util::Rng rng(17);
+  model::TransformerLM lm(config, &rng);
+
+  serve::ServeOptions options;
+  options.max_batch_rows = static_cast<size_t>(state.range(0));
+  options.max_batch_tokens = 256;
+  options.queue_capacity = 512;
+  options.kv_budget_tokens = 64;
+  options.default_max_new_tokens = kMaxNew;
+  options.retry = {.max_attempts = 3, .base_delay_ms = 1};
+  serve::InferenceServer server(lm, tokenizer, options);
+  size_t served = 0;
+  for (auto _ : state) {
+    std::vector<std::future<serve::Response>> pending;
+    pending.reserve(kRequests);
+    for (size_t k = 0; k < kRequests; ++k) {
+      pending.push_back(server.Submit({prompts[k % prompts.size()], kMaxNew}));
+    }
+    for (std::future<serve::Response>& future : pending) {
+      if (future.get().status.ok()) ++served;
+    }
+  }
+  server.Shutdown();
+  state.SetItemsProcessed(static_cast<int64_t>(served));
+  if (served != kRequests * static_cast<size_t>(state.iterations())) {
+    state.SkipWithError("not every flood request was served");
+  }
+}
+BENCHMARK(BM_ServeFlood)
+    ->Arg(1)
+    ->Arg(8)
+    ->Iterations(1)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 /// Head-to-head cached vs. uncached decode at max_seq_len, run outside the
 /// google-benchmark harness so the numbers land in the obs registry (and
 /// thus the --metrics_out manifest) as engine/bench_* gauges. Prints a
@@ -396,20 +463,8 @@ int main(int argc, char** argv) {
     }
   }
   decode_compare |= TakeFlag(&argc, argv, "decode_compare") == "1";
-  std::string export_every = TakeFlag(&argc, argv, "metrics_export_every");
-  infuserki::obs::ExporterOptions exporter_options;
-  exporter_options.period = std::chrono::milliseconds(
-      export_every.empty() ? 0 : std::atoll(export_every.c_str()));
-  exporter_options.ndjson_path =
-      TakeFlag(&argc, argv, "metrics_export_ndjson");
-  exporter_options.prometheus_path = TakeFlag(&argc, argv, "prom_out");
   if (!metrics_out.empty() || !trace_out.empty()) {
     infuserki::obs::Tracer::Get().Enable();
-  }
-  std::unique_ptr<infuserki::obs::MetricsExporter> exporter;
-  if (exporter_options.period.count() > 0) {
-    exporter = std::make_unique<infuserki::obs::MetricsExporter>(
-        exporter_options);
   }
 
   benchmark::Initialize(&argc, argv);

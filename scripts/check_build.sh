@@ -21,26 +21,23 @@
 # 5. Runs the crash/resume smoke: a training run killed by an injected
 #    crash failpoint (exit 42) must resume from its snapshot and finish
 #    with parameters bit-identical to an uninterrupted run.
-# 6. Runs the serving chaos smoke: bench_serve sweeping batch widths under
-#    injected compute + I/O faults with an undersized KV budget must keep
-#    its request accounting conserved ("serve_accounting=ok"), keep its
-#    obs-derived latency quantiles within one bucket of the sorted-vector
-#    reference ("serve_quantiles=ok"), exit 0, append a schema-valid
-#    NDJSON line to the BENCH_serve.json trajectory, and leave a non-empty
-#    NDJSON metrics stream behind from the live exporter whose final record
-#    carries the watchdog's serve/queue_depth_samples (count > 0).
-# 7. Runs the fault-free batched-vs-sequential throughput gate: the
-#    continuous-batching scheduler at batch 8 must deliver at least 2x the
-#    sequential (batch 1) request throughput on the small bench model.
-#    Best of three runs — a single-core shared box is noisy.
+# 6. (The serving chaos checks run in ctest: stage 1 and the TSan stage
+#    run serve_chaos_test, whose soak checks request accounting under
+#    faults at batch widths 6 and 1, and serve_test, which checks shed
+#    hints and the e2e latency quantiles against the responses.)
+# 7. Runs the fault-free batched-vs-sequential throughput gate:
+#    bench_micro_tensor's BM_ServeFlood floods the continuous-batching
+#    scheduler with 256 requests at max_batch_rows 1 and 8, three times.
+#    Within each run, the width-1 time over the width-8 time must reach 2x
+#    in at least one run — a shared box is noisy.
 # 7b. Builds the repository benchmark (the perfbench/ CMake project, which
 #    compiles src/ on its own) into .bench_build/, runs its perfbench_test
 #    unit suite, and runs a 5-second paper_pipeline smoke through
 #    perfbench/run.py that must report "correct": true (every workload
 #    gate passed).
 # 8. Builds the ThreadSanitizer preset and runs the concurrency gate
-#    (race_stress_test plus the threadpool / kv-cache / obs / exporter /
-#    serve suites, including the chaos soak and the batched-decode
+#    (race_stress_test plus the threadpool / kv-cache / obs / serve
+#    suites, including the chaos soak and the batched-decode
 #    bit-exactness suite, the GEMM kernel's pool-width test and the
 #    training backward's oracle test, whose attention heads run in
 #    parallel) with fail-fast TSAN_OPTIONS — zero reports allowed
@@ -213,109 +210,39 @@ FRESH_CRC="$(echo "$FRESH" | sed -n 's/^resume_smoke_params_crc=//p')"
 rm -rf "$RESUME_DIR" "$FRESH_DIR"
 echo "crash/resume smoke OK: resumed from step 40, params CRC $RESUMED_CRC"
 
-echo "== serve chaos smoke: bench_serve under injected faults (${SMOKE_DIR}) =="
-cmake --build "$SMOKE_DIR" -j --target bench_serve
-SERVE_OUT="${TMPDIR:-/tmp}/check_build_serve.txt"
-SERVE_JSON="${TMPDIR:-/tmp}/check_build_serve_bench.json"
-SERVE_NDJSON="${TMPDIR:-/tmp}/check_build_serve_metrics.ndjson"
-rm -f "$SERVE_JSON" "$SERVE_NDJSON"
-INFUSERKI_FAULTS="serve/decode_step=prob:0.05:7;serve/prefill=prob:0.1:3;serve/tokenize=fail@11;io/atomic_write=prob:0.5:3" \
-  "$SMOKE_DIR/bench/bench_serve" \
-  --batch_sweep=1,4 --requests=64 --kv_budget=8 \
-  --arrival=burst --offered_qps=500 \
-  --bench_json="$SERVE_JSON" \
-  --metrics_export_every=20 \
-  --metrics_export_ndjson="$SERVE_NDJSON" | tee "$SERVE_OUT"
-grep -q '^serve_accounting=ok$' "$SERVE_OUT" || {
-  echo "FAIL: serve accounting not conserved under chaos" >&2
-  exit 1
-}
-grep -q '^serve_quantiles=ok$' "$SERVE_OUT" || {
-  echo "FAIL: obs-derived quantiles diverged from the sorted reference" >&2
-  exit 1
-}
-grep -q '^serve_shed_hints=ok$' "$SERVE_OUT" || {
-  echo "FAIL: a shed response was missing its retry_after hint" >&2
-  exit 1
-}
-test -s "$SERVE_NDJSON" || {
-  echo "FAIL: live exporter left no NDJSON stream at $SERVE_NDJSON" >&2
-  exit 1
-}
-if command -v python3 > /dev/null 2>&1; then
-  python3 - "$SERVE_NDJSON" <<'EOF'
-import json, sys
-# The session exporter runs beside each round's server and publishes what
-# the server's watchdog sampled: the final record must carry queue-depth
-# samples.
-with open(sys.argv[1]) as f:
-    last = json.loads([line for line in f if line.strip()][-1])
-samples = last["histograms"].get("serve/queue_depth_samples", {})
-assert samples.get("count", 0) > 0, samples
-print("queue_depth_samples in the final NDJSON record:", samples["count"])
-EOF
-  python3 - "$SERVE_JSON" <<'EOF'
-import json, sys
-# The SLO file is an NDJSON trajectory: one JSON object per line, newest
-# last. Every line must parse; the line this smoke just appended (the
-# last) must be a schema-3 batch-sweep record (open-loop arrival fields
-# plus the overload-control SLO counters, DESIGN.md §14).
-with open(sys.argv[1]) as f:
-    lines = [json.loads(line) for line in f if line.strip()]
-assert lines, "trajectory must be non-empty"
-bench = lines[-1]
-assert bench.get("bench") == "bench_serve", bench.get("bench")
-assert bench.get("schema") == 3, bench.get("schema")
-for key in ("requests", "queue", "kv_budget", "max_new",
-            "max_batch_tokens", "arrival", "offered_qps"):
-    assert key in bench["config"], f"config missing {key!r}"
-assert bench["rounds"], "rounds must be non-empty"
-for row in bench["rounds"]:
-    for key in ("batch_rows", "completed", "shed", "shed_rate",
-                "p50_ms", "p99_ms", "p999_ms", "ttft_p50_ms",
-                "inter_token_p50_ms", "req_per_s", "offered_qps",
-                "achieved_qps", "brownout_mean_level"):
-        assert key in row, f"round missing {key!r}"
-assert "batched_speedup" in bench, "missing batched_speedup"
-slo = bench["slo"]
-for key in ("requests", "shed_rate", "e2e", "ttft", "inter_token",
-            "shed_queue_full", "shed_tenant_cap", "shed_rate_limited",
-            "shed_brownout", "shed_infeasible", "watchdog_stalls",
-            "watchdog_recoveries", "brownout_mean_level"):
-    assert key in slo, f"slo missing {key!r}"
-for key in ("count", "p50_ms", "p99_ms", "p999_ms"):
-    assert key in slo["e2e"], f"slo.e2e missing {key!r}"
-print("BENCH_serve.json schema OK:", sys.argv[1])
-EOF
-else
-  echo "FAIL: python3 is required to schema-check $SERVE_JSON" >&2
-  exit 1
-fi
-echo "serve chaos smoke OK (accounting + quantiles conserved under faults)"
-
 echo "== serve throughput gate: batched vs sequential (${SMOKE_DIR}) =="
-BATCH_OUT="${TMPDIR:-/tmp}/check_build_batch.txt"
-BATCH_SPEEDUP=""
+FLOOD_JSON="${TMPDIR:-/tmp}/check_build_serve_flood"
 for attempt in 1 2 3; do
-  "$SMOKE_DIR/bench/bench_serve" \
-    --batch_sweep=1,8 --dim=8 --layers=1 --max_new=16 \
-    --requests=256 --queue=512 --kv_budget=64 \
-    --bench_json="" | tee "$BATCH_OUT"
-  BATCH_SPEEDUP="$(sed -n 's/^batched_speedup=//p' "$BATCH_OUT")"
-  test -n "$BATCH_SPEEDUP" || {
-    echo "FAIL: batched_speedup line missing from the batch sweep" >&2
-    exit 1
-  }
-  if awk "BEGIN { exit !($BATCH_SPEEDUP >= 2.0) }"; then
-    break
-  fi
-  echo "batched speedup ${BATCH_SPEEDUP}x below 2x on attempt ${attempt}"
+  "$SMOKE_DIR/bench/bench_micro_tensor" \
+    --benchmark_filter='^BM_ServeFlood' \
+    --benchmark_format=json > "${FLOOD_JSON}_${attempt}.json"
 done
-awk "BEGIN { exit !($BATCH_SPEEDUP >= 2.0) }" || {
-  echo "FAIL: batched speedup ${BATCH_SPEEDUP}x is below the 2x floor" >&2
-  exit 1
-}
-echo "batched throughput OK: ${BATCH_SPEEDUP}x at batch 8 (>= 2x)"
+python3 - "${FLOOD_JSON}_1.json" "${FLOOD_JSON}_2.json" \
+  "${FLOOD_JSON}_3.json" <<'EOF'
+import json, re, sys
+# Both widths serve the same 256 requests, so within one run the width-1
+# time over the width-8 time is the batched throughput speedup. The gate
+# passes when any run reaches 2x.
+best = 0.0
+for path in sys.argv[1:]:
+    times = {}
+    with open(path) as f:
+        for bench in json.load(f)["benchmarks"]:
+            match = re.match(r"BM_ServeFlood/(\d+)", bench["name"])
+            if not match:
+                continue
+            if bench.get("error_occurred"):
+                sys.exit(f"FAIL: {bench['name']}: {bench.get('error_message')}")
+            times[int(match.group(1))] = bench["real_time"]
+    assert 1 in times and 8 in times, f"{path}: missing a width: {times}"
+    speedup = times[1] / times[8]
+    print(f"serve flood {path}: rows1={times[1]:.1f} rows8={times[8]:.1f} "
+          f"speedup={speedup:.2f}x")
+    best = max(best, speedup)
+if best < 2.0:
+    sys.exit(f"FAIL: batched speedup {best:.2f}x is below the 2x floor")
+print(f"batched throughput OK: {best:.2f}x at batch 8 (>= 2x)")
+EOF
 
 echo "== perfbench: build + unit test + paper_pipeline smoke =="
 cmake -S perfbench -B .bench_build -DCMAKE_BUILD_TYPE=Release
@@ -342,10 +269,10 @@ cmake -B "$TSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DINFUSERKI_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j --target \
   race_stress_test threadpool_test kv_cache_test obs_test \
-  obs_exporter_test serve_test serve_chaos_test batched_decode_test \
+  serve_test serve_chaos_test batched_decode_test \
   adapter_registry_test admission_test gemm_kernel_test backward_oracle_test
 for tsan_test in race_stress_test threadpool_test kv_cache_test obs_test \
-                 obs_exporter_test serve_test serve_chaos_test \
+                 serve_test serve_chaos_test \
                  batched_decode_test adapter_registry_test \
                  admission_test gemm_kernel_test backward_oracle_test; do
   TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1:suppressions=$(pwd)/tsan.supp" \

@@ -112,7 +112,6 @@ std::vector<OneHopItem> Build1HopTask(const kg::KnowledgeGraph& kg,
 }
 
 std::vector<TwoHopItem> Build2HopTask(const kg::KnowledgeGraph& kg,
-                                      const kg::TemplateEngine& templates,
                                       size_t max_items,
                                       size_t max_candidates,
                                       util::Rng* rng) {

@@ -73,7 +73,6 @@ struct TwoHopItem {
 /// r1 != r2, phrases them compositionally, and attaches a candidate pool
 /// from r2's tails. At most `max_items` items are produced.
 std::vector<TwoHopItem> Build2HopTask(const kg::KnowledgeGraph& kg,
-                                      const kg::TemplateEngine& templates,
                                       size_t max_items,
                                       size_t max_candidates,
                                       util::Rng* rng);

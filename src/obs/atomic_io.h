@@ -62,25 +62,6 @@ inline bool WriteFileAtomically(const std::string& path,
   return true;
 }
 
-/// Appends `line` (a trailing newline is added) to `path` as a single
-/// O_APPEND write, so concurrent appenders and crash-interrupted writers
-/// never interleave or tear a record — the NDJSON time-series contract.
-/// A short write counts as failure rather than retrying with a second
-/// (no-longer-atomic) write.
-inline bool AppendLineAtomically(const std::string& path, std::string line) {
-  line.push_back('\n');
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
-                  0644);
-  if (fd < 0) return false;
-  ssize_t n;
-  do {
-    n = ::write(fd, line.data(), line.size());
-  } while (n < 0 && errno == EINTR);
-  bool ok = n == static_cast<ssize_t>(line.size());
-  if (::close(fd) != 0) ok = false;
-  return ok;
-}
-
 }  // namespace infuserki::obs
 
 #endif  // INFUSERKI_OBS_ATOMIC_IO_H_

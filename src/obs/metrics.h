@@ -100,7 +100,7 @@ HistogramStats SubtractHistogramStats(const HistogramStats& after,
 
 /// JSON object {"count","sum","mean","min","max","p50","p90","p99","p999"}
 /// for one histogram (buckets omitted): the one writer behind the registry
-/// dump and every exporter record.
+/// dump.
 std::string HistogramStatsJson(const HistogramStats& stats);
 
 /// Distribution of positive samples (latencies, sizes) over exponential
@@ -122,8 +122,9 @@ class Histogram {
   uint64_t BucketCount(size_t bucket) const;
   /// Upper bound of `bucket` (inclusive); +inf for the last bucket.
   static double BucketBound(size_t bucket);
-  /// Index of the bucket `value` lands in (shared with bench cross-checks
-  /// so "within one bucket" means the same thing everywhere).
+  /// Index of the bucket `value` lands in (shared with the serve test's
+  /// quantile cross-check, so "within one bucket" means the same thing
+  /// everywhere).
   static size_t BucketIndexFor(double value);
 
   void Reset();

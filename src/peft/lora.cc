@@ -11,7 +11,6 @@ LoraMethod::LoraMethod(model::TransformerLM* lm, const LoraOptions& options)
   CHECK(lm != nullptr);
   util::Rng rng(options.seed);
   float scale = options.alpha / static_cast<float>(options.rank);
-  size_t dim = lm->config().dim;
   for (size_t l = 0; l < lm->config().num_layers; ++l) {
     model::TransformerLayer& layer = lm->layer(l);
     if (options.quantize_base) {

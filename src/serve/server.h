@@ -31,7 +31,8 @@ namespace infuserki::serve {
 struct ServeOptions {
   /// In-flight rows the continuous-batching scheduler decodes together —
   /// the KV slot-pool size. 1 degenerates to sequential one-request-at-a-
-  /// time decoding (the baseline bench_serve's sweep compares against).
+  /// time decoding (the baseline bench_micro_tensor's BM_ServeFlood gates
+  /// the width-8 run against).
   size_t max_batch_rows = 4;
   /// Per-step new-token budget for the ragged batched forward: admission
   /// of prefills stops once the tokens fed to one step (one per in-flight

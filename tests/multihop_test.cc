@@ -10,11 +10,9 @@ TEST(TwoHop, ItemsAreValidChains) {
   // UMLS entities appear as both heads and tails, so 2-hop chains exist.
   kg::KnowledgeGraph kg =
       kg::SyntheticUmls({.num_triplets = 200, .seed = 71, .chain_fraction = 0.3});
-  kg::TemplateEngine templates;
   util::Rng rng(72);
   std::vector<TwoHopItem> items =
-      Build2HopTask(kg, templates, /*max_items=*/20, /*max_candidates=*/5,
-                    &rng);
+      Build2HopTask(kg, /*max_items=*/20, /*max_candidates=*/5, &rng);
   ASSERT_FALSE(items.empty());
   for (const TwoHopItem& item : items) {
     const kg::Triplet& hop1 = kg.triplets()[item.first_triplet];
@@ -36,10 +34,8 @@ TEST(TwoHop, ItemsAreValidChains) {
 TEST(TwoHop, EvaluatorRuns) {
   kg::KnowledgeGraph kg =
       kg::SyntheticUmls({.num_triplets = 150, .seed = 73, .chain_fraction = 0.3});
-  kg::TemplateEngine templates;
   util::Rng rng(74);
-  std::vector<TwoHopItem> items =
-      Build2HopTask(kg, templates, 6, 4, &rng);
+  std::vector<TwoHopItem> items = Build2HopTask(kg, 6, 4, &rng);
   ASSERT_FALSE(items.empty());
   std::vector<std::string> corpus;
   for (const TwoHopItem& item : items) {
@@ -66,9 +62,8 @@ TEST(TwoHop, EvaluatorRuns) {
 TEST(TwoHop, RespectsMaxItems) {
   kg::KnowledgeGraph kg =
       kg::SyntheticUmls({.num_triplets = 200, .seed = 76, .chain_fraction = 0.3});
-  kg::TemplateEngine templates;
   util::Rng rng(77);
-  std::vector<TwoHopItem> items = Build2HopTask(kg, templates, 3, 4, &rng);
+  std::vector<TwoHopItem> items = Build2HopTask(kg, 3, 4, &rng);
   EXPECT_LE(items.size(), 3u);
 }
 

@@ -19,7 +19,6 @@
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "obs/window.h"
 
 namespace infuserki::obs {
 namespace {
@@ -167,7 +166,7 @@ class JsonParser {
             else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
             else return false;
           }
-          // The exporters only emit \u00XX control escapes.
+          // The JSON writers only emit \u00XX control escapes.
           out->push_back(static_cast<char>(code));
           break;
         }
@@ -486,55 +485,6 @@ TEST(Quantiles, SubtractHistogramStatsIsolatesTheDelta) {
   HistogramStats none = SubtractHistogramStats(after, after);
   EXPECT_EQ(none.count, 0u);
   EXPECT_DOUBLE_EQ(none.p50, 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// SlidingWindow
-// ---------------------------------------------------------------------------
-
-TEST(SlidingWindowTest, RatesAndHistogramDeltas) {
-  Registry::Get().GetCounter("test/window_counter")->Reset();
-  Registry::Get().GetHistogram("test/window_histogram")->Reset();
-  Registry::Get().GetGauge("test/window_gauge")->Reset();
-
-  SlidingWindow window(/*window_seconds=*/10.0);
-  EXPECT_EQ(window.CounterDelta("test/window_counter"), 0u);
-  EXPECT_DOUBLE_EQ(window.CoveredSeconds(), 0.0);
-
-  int64_t t0 = 1'000'000'000;
-  window.Tick(t0);
-  Registry::Get().GetCounter("test/window_counter")->Increment(40);
-  for (int i = 0; i < 8; ++i) {
-    Registry::Get().GetHistogram("test/window_histogram")->Record(0.125);
-  }
-  Registry::Get().GetGauge("test/window_gauge")->Set(6.5);
-  window.Tick(t0 + 4'000'000);  // +4s
-
-  EXPECT_DOUBLE_EQ(window.CoveredSeconds(), 4.0);
-  EXPECT_EQ(window.CounterDelta("test/window_counter"), 40u);
-  EXPECT_DOUBLE_EQ(window.CounterRate("test/window_counter"), 10.0);
-  EXPECT_DOUBLE_EQ(window.GaugeValue("test/window_gauge"), 6.5);
-  HistogramStats delta = window.HistogramDelta("test/window_histogram");
-  EXPECT_EQ(delta.count, 8u);
-  EXPECT_DOUBLE_EQ(delta.p50, 0.125);
-  EXPECT_DOUBLE_EQ(window.AllCounterRates().at("test/window_counter"), 10.0);
-  EXPECT_EQ(window.CounterDelta("test/window_no_such"), 0u);
-}
-
-TEST(SlidingWindowTest, EvictsFramesOutsideTheWindow) {
-  Registry::Get().GetCounter("test/window_evict")->Reset();
-  SlidingWindow window(/*window_seconds=*/5.0);
-  int64_t t0 = 2'000'000'000;
-  // One tick per simulated second for 20s; only ~the last 5s must survive.
-  for (int i = 0; i <= 20; ++i) {
-    Registry::Get().GetCounter("test/window_evict")->Increment(1);
-    window.Tick(t0 + static_cast<int64_t>(i) * 1'000'000);
-  }
-  EXPECT_LE(window.CoveredSeconds(), 6.0);
-  EXPECT_GE(window.CoveredSeconds(), 5.0);
-  // Rate stays ~1/s over the retained span.
-  EXPECT_NEAR(window.CounterRate("test/window_evict"), 1.0, 0.35);
-  EXPECT_LE(window.frame_count(), 8u);
 }
 
 // ---------------------------------------------------------------------------

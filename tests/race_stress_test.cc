@@ -13,10 +13,8 @@
 #include "model/batched_session.h"
 #include "model/generation.h"
 #include "model/transformer.h"
-#include "obs/exporter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "obs/window.h"
 #include "serve/prefix_cache.h"
 #include "serve/server.h"
 #include "text/tokenizer.h"
@@ -329,61 +327,6 @@ TEST(RaceStress, ParallelMcqDecodeSharedModel) {
     EXPECT_EQ(scores[task], expected[task % continuations.size()])
         << "task " << task;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Sliding-window readers racing ticks: one thread ticks a shared window
-// while kThreads readers pull windowed rates/deltas and writers churn the
-// registry underneath — the DESIGN.md §13 SlidingWindow::mu_ leaf under
-// concurrent load. A live MetricsExporter (1ms period, no files) runs
-// through the same stretch with TickNow() churn from the test thread, so
-// its internal window's tick path races its own background loop too.
-TEST(RaceStress, SlidingWindowReadersRaceExporterTicks) {
-  obs::Registry& registry = obs::Registry::Get();
-  obs::Counter* counter = registry.GetCounter("race/window_counter");
-  obs::Histogram* histogram = registry.GetHistogram("race/window_histogram");
-  counter->Reset();
-  histogram->Reset();
-
-  obs::ExporterOptions options;
-  options.period = std::chrono::milliseconds(1);
-  options.window_seconds = 0.5;
-  obs::MetricsExporter exporter(options);
-
-  obs::SlidingWindow window(/*window_seconds=*/0.5, /*max_frames=*/32);
-  std::atomic<bool> done{false};
-  std::thread ticker([&window, &done] {
-    while (!done.load()) {
-      window.Tick();
-    }
-  });
-  std::vector<std::thread> readers;
-  readers.reserve(kThreads);
-  for (size_t t = 0; t < kThreads; ++t) {
-    readers.emplace_back([&] {
-      for (int i = 0; i < 200; ++i) {
-        counter->Increment();
-        histogram->Record(1e-5 * static_cast<double>(i + 1));
-        (void)window.CounterRate("race/window_counter");
-        (void)window.CounterDelta("race/window_counter");
-        (void)window.HistogramDelta("race/window_histogram");
-        (void)window.AllCounterRates();
-        (void)window.CoveredSeconds();
-        (void)window.frame_count();
-      }
-    });
-  }
-  for (int i = 0; i < 50; ++i) {
-    exporter.TickNow();  // races the exporter's own Loop on tick_mu_
-  }
-  for (std::thread& reader : readers) reader.join();
-  done.store(true);
-  ticker.join();
-  exporter.Stop();
-  EXPECT_FALSE(exporter.running());
-  EXPECT_GE(exporter.ticks(), uint64_t{50});
-  // The readers alone increment the counter kThreads * 200 times.
-  EXPECT_GE(counter->Value(), uint64_t{kThreads * 200});
 }
 
 // ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@
 #include "model/generation.h"
 #include "model/serve_adapter.h"
 #include "model/transformer.h"
-#include "obs/exporter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/adapter_registry.h"
@@ -48,7 +47,7 @@ constexpr size_t kRequests = 240;
 constexpr size_t kSubmitters = 4;
 constexpr size_t kMaxNew = 8;
 
-// CI uploads the soak's trace + NDJSON stream as workflow artifacts; the
+// CI uploads the soak's trace and metrics dump as workflow artifacts; the
 // env var points the test at the artifact staging dir (defaults to the
 // gtest temp dir for local runs).
 std::string ArtifactDir() {
@@ -63,7 +62,8 @@ std::string ReadFile(const std::string& path) {
   return os.str();
 }
 
-TEST(ServeChaos, SoakSurvivesComputeAndIoFaults) {
+/// One chaos soak at `max_batch_rows`. Artifacts are suffixed by width.
+void RunFaultSoak(size_t max_batch_rows) {
   util::FaultRegistry& faults = util::FaultRegistry::Get();
   faults.Clear();
   obs::Registry& registry = obs::Registry::Get();
@@ -72,10 +72,11 @@ TEST(ServeChaos, SoakSurvivesComputeAndIoFaults) {
   // back out of the chaos as one contiguous async track.
   obs::Tracer::Get().Enable(1 << 15);
   obs::Tracer::Get().Clear();
-  const std::string artifact_dir = ArtifactDir();
-  const std::string ndjson_path = artifact_dir + "/chaos_metrics.ndjson";
-  const std::string trace_path = artifact_dir + "/chaos_trace.json";
-  std::remove(ndjson_path.c_str());  // NDJSON appends; start clean
+  const std::string artifact_prefix =
+      ArtifactDir() + "/chaos_rows" + std::to_string(max_batch_rows);
+  const std::string metrics_path = artifact_prefix + "_metrics.json";
+  const std::string trace_path = artifact_prefix + "_trace.json";
+  std::remove(metrics_path.c_str());  // a failed dump must leave no file
 
   std::vector<std::string> corpus = {
       "alpha beta gamma delta epsilon zeta eta theta iota kappa",
@@ -131,7 +132,7 @@ TEST(ServeChaos, SoakSurvivesComputeAndIoFaults) {
                   .ok());
 
   ServeOptions options;
-  options.max_batch_rows = 6;
+  options.max_batch_rows = max_batch_rows;
   // Tight enough that co-admitting two of the longer prompts overflows the
   // step budget, so the soak also churns through admission deferrals.
   options.max_batch_tokens = 16;
@@ -141,13 +142,6 @@ TEST(ServeChaos, SoakSurvivesComputeAndIoFaults) {
   options.kv_budget_tokens = 20;
   options.default_max_new_tokens = kMaxNew;
   options.retry = {.max_attempts = 3, .base_delay_ms = 1};
-  // Live exporter soaking beside the chaos: periodic NDJSON appends of the
-  // registry (including the watchdog's queue-depth samples) while every
-  // fault point fires.
-  obs::ExporterOptions exporter_options;
-  exporter_options.period = milliseconds(20);
-  exporter_options.ndjson_path = ndjson_path;
-  obs::MetricsExporter exporter(exporter_options);
   InferenceServer server(lm, tokenizer, options);
 
   struct Outcome {
@@ -250,17 +244,18 @@ TEST(ServeChaos, SoakSurvivesComputeAndIoFaults) {
 
   // The continuous-batching scheduler actually batched under load: an
   // occupancy sample is recorded per ragged step, at least one step ran
-  // more than one row, and no step overfilled the slot pool.
+  // more than one row (when the width allows it), and no step overfilled
+  // the slot pool.
   const obs::HistogramStats& occupancy =
       snapshot.histograms.at("serve/batch_occupancy");
   EXPECT_GT(occupancy.count, uint64_t{0});
-  EXPECT_GT(occupancy.max,
-            1.0 / static_cast<double>(options.max_batch_rows));
+  if (max_batch_rows > 1) {
+    EXPECT_GT(occupancy.max, 1.0 / static_cast<double>(max_batch_rows));
+  }
   EXPECT_LE(occupancy.max, 1.0);
   EXPECT_GE(snapshot.gauges.at("serve/batch_size"), 0.0);
 
   server.Shutdown();
-  exporter.Stop();
 
   // Request-scoped tracing: every request — served, shed, deadline-missed,
   // or failed — carries a process-unique id and renders as one async track
@@ -296,14 +291,6 @@ TEST(ServeChaos, SoakSurvivesComputeAndIoFaults) {
   }
   EXPECT_EQ(seen_ids.size(), kRequests);
 
-  // The exporter soaked through the chaos and Stop() flushed a final
-  // record, so the NDJSON stream ends on the post-soak totals.
-  std::string ndjson = ReadFile(ndjson_path);
-  ASSERT_FALSE(ndjson.empty());
-  std::ostringstream final_requests;
-  final_requests << "\"serve/requests\":" << kRequests;
-  EXPECT_NE(ndjson.rfind(final_requests.str()), std::string::npos);
-
   // Chrome trace artifact: per-request swimlanes ride along with the
   // thread-scoped spans (format details are covered by obs_test).
   ASSERT_TRUE(obs::Tracer::Get().WriteChromeTrace(trace_path));
@@ -312,20 +299,35 @@ TEST(ServeChaos, SoakSurvivesComputeAndIoFaults) {
   EXPECT_NE(trace.find("\"ph\":\"b\""), std::string::npos);
   obs::Tracer::Get().Disable();
 
-  // I/O chaos: dump the metrics through the fault-injected atomic writer.
-  // io/atomic_write fails half its hits; with retries this usually lands,
-  // but either way it must fail closed — no partial file, no crash.
-  std::string dump_path =
-      ::testing::TempDir() + "/serve_chaos_metrics.json";
+  // I/O chaos: dump the post-soak registry (the artifact that carries the
+  // totals) through the fault-injected atomic writer. io/atomic_write
+  // fails half its hits; with retries this usually lands, but either way
+  // it must fail closed — a complete dump or no file, and no crash.
   util::Status dump_status = util::WriteFileAtomic(
-      dump_path, registry.JsonDump(), "io/atomic_write",
+      metrics_path, registry.JsonDump(), "io/atomic_write",
       {.max_attempts = 4, .base_delay_ms = 1});
-  if (!dump_status.ok()) {
+  if (dump_status.ok()) {
+    std::ostringstream final_requests;
+    final_requests << "\"serve/requests\":" << kRequests;
+    EXPECT_NE(ReadFile(metrics_path).find(final_requests.str()),
+              std::string::npos);
+  } else {
     EXPECT_EQ(dump_status.code(), util::StatusCode::kInternal)
         << dump_status;
+    EXPECT_FALSE(std::filesystem::exists(metrics_path));
   }
-  std::remove(dump_path.c_str());
   faults.Clear();
+}
+
+// Width 6 batches under churn; width 1 is the sequential baseline, where
+// every step holds one row and the same conservation and bit-exactness
+// bars apply.
+TEST(ServeChaos, SoakSurvivesComputeAndIoFaults) {
+  for (size_t max_batch_rows : {size_t{6}, size_t{1}}) {
+    SCOPED_TRACE("max_batch_rows=" + std::to_string(max_batch_rows));
+    RunFaultSoak(max_batch_rows);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 // Swap-under-load gate (DESIGN.md §12): hot-swap adapter versions through

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <future>
 #include <limits>
@@ -447,6 +449,59 @@ TEST_F(ServeFixture, ConcurrentBatchServesEveryRequestBitExact) {
     EXPECT_EQ(response.tokens, Reference(prompts[i], 8)) << prompts[i];
     EXPECT_FALSE(response.degraded) << prompts[i];
   }
+}
+
+// The histogram behind the reported latency quantiles agrees with the
+// responses themselves: over a concurrent batch, serve/e2e_ok_seconds
+// counts exactly the ok responses, and its p50 and p99 land in the same
+// or an adjacent exponential bucket as the nearest-rank percentiles of the
+// responses' total_seconds (adjacency absorbs in-bucket interpolation).
+TEST_F(ServeFixture, E2eQuantilesMatchResponseLatencies) {
+  obs::Registry& registry = obs::Registry::Get();
+  ServeOptions options;
+  options.max_batch_rows = 4;
+  options.queue_capacity = 64;
+  InferenceServer server(*lm_, *tokenizer_, options);
+
+  const std::vector<std::string> prompts = {
+      "alpha beta gamma", "iota kappa",    "sigma tau alpha",
+      "delta epsilon",    "mu nu xi pi",   "theta iota omicron",
+      "beta delta zeta",  "rho sigma"};
+  const obs::Registry::Snapshot before = registry.TakeSnapshot();
+  std::vector<std::future<Response>> futures;
+  for (size_t k = 0; k < 48; ++k) {
+    futures.push_back(server.Submit({prompts[k % prompts.size()], 6}));
+  }
+  std::vector<double> latencies;
+  for (std::future<Response>& future : futures) {
+    Response response = future.get();
+    EXPECT_TRUE(response.status.ok()) << response.status;
+    if (response.status.ok()) latencies.push_back(response.total_seconds);
+  }
+  server.Shutdown();
+  const obs::HistogramStats e2e = obs::Registry::HistogramDelta(
+      before, registry.TakeSnapshot(), "serve/e2e_ok_seconds");
+
+  ASSERT_FALSE(latencies.empty());
+  EXPECT_EQ(e2e.count, latencies.size());
+  std::sort(latencies.begin(), latencies.end());
+  // Nearest rank k = max(1, ceil(q * n)), the histogram's own convention.
+  auto nearest_rank = [&](double q) {
+    size_t n = latencies.size();
+    size_t rank = static_cast<size_t>(std::ceil(q * static_cast<double>(n)));
+    return latencies[std::min(std::max<size_t>(rank, 1), n) - 1];
+  };
+  auto bucket_gap = [](double a, double b) {
+    size_t x = obs::Histogram::BucketIndexFor(a);
+    size_t y = obs::Histogram::BucketIndexFor(b);
+    return x > y ? x - y : y - x;
+  };
+  EXPECT_LE(bucket_gap(e2e.p50, nearest_rank(0.50)), size_t{1})
+      << "histogram p50 " << e2e.p50 << " vs responses "
+      << nearest_rank(0.50);
+  EXPECT_LE(bucket_gap(e2e.p99, nearest_rank(0.99)), size_t{1})
+      << "histogram p99 " << e2e.p99 << " vs responses "
+      << nearest_rank(0.99);
 }
 
 // A step-token budget too small to co-admit two prompts forces deferrals;
@@ -1072,8 +1127,8 @@ TEST_F(ServeFixture, WatchdogFailsStalledBatchAndRecovers) {
                 registry.GetCounter("serve/failures")->Value());
 }
 
-TEST_F(ServeFixture, WatchdogSamplesQueueDepthWithoutExporter) {
-  // No exporter runs: the watchdog alone records one queue-depth sample per
+TEST_F(ServeFixture, WatchdogSamplesQueueDepth) {
+  // The watchdog alone records one queue-depth sample per
   // watchdog_interval.
   obs::Histogram* samples =
       obs::Registry::Get().GetHistogram("serve/queue_depth_samples");
