@@ -1,6 +1,8 @@
 // Engineering micro-benchmarks (google-benchmark) for the tensor/autograd
 // substrate: the per-op costs that dominate experiment wall-clock, plus the
-// serving layer's batched-vs-sequential throughput (BM_ServeFlood).
+// serving layer's batched-vs-sequential throughput (BM_ServeFlood) and the
+// two largest costs of serve_chat's set-up (BM_McqBuildAll,
+// BM_TokenizerBuild).
 //
 // Accepts --metrics_out=<path> / --trace_out=<path> in addition to the
 // standard google-benchmark flags; they are stripped from argv before
@@ -15,6 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "kg/mcq.h"
+#include "kg/synth.h"
+#include "kg/templates.h"
 #include "model/batched_session.h"
 #include "model/pretrain.h"
 #include "model/transformer.h"
@@ -25,6 +30,7 @@
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tests/gemm_reference.h"
+#include "tests/mcq_corpus.h"
 #include "text/tokenizer.h"
 #include "util/crc32.h"
 #include "util/rng.h"
@@ -236,6 +242,37 @@ void BM_LmTrainStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LmTrainStep);
+
+/// The MCQ distractor rule over a whole synthetic UMLS KG of range(0)
+/// triplets, as serve_chat's set-up runs it (template 1, seed 1). The KG is
+/// built outside the timed loop.
+void BM_McqBuildAll(benchmark::State& state) {
+  kg::SynthOptions synth;
+  synth.num_triplets = static_cast<size_t>(state.range(0));
+  synth.seed = 1;
+  kg::KnowledgeGraph graph = kg::SyntheticUmls(synth);
+  kg::TemplateEngine templates;
+  kg::McqBuilder builder(&graph, &templates);
+  for (auto _ : state) {
+    util::Rng rng(2);
+    std::vector<kg::Mcq> mcqs = builder.BuildAll(/*template_id=*/1, &rng);
+    benchmark::DoNotOptimize(mcqs.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_McqBuildAll)->Arg(2400)->Unit(benchmark::kMillisecond);
+
+/// Tokenizer::Build over the MCQ prompts of range(0) triplets (seed 1), the
+/// vocabulary serve_chat's set-up builds.
+void BM_TokenizerBuild(benchmark::State& state) {
+  size_t triplets = static_cast<size_t>(state.range(0));
+  const std::vector<std::string> corpus = testing::McqCorpus(triplets, 1);
+  for (auto _ : state) {
+    text::Tokenizer tokenizer = text::Tokenizer::Build(corpus);
+    benchmark::DoNotOptimize(tokenizer.vocab_size());
+  }
+}
+BENCHMARK(BM_TokenizerBuild)->Arg(2400)->Unit(benchmark::kMillisecond);
 
 /// Continuous-batching throughput: floods one InferenceServer with 256
 /// requests over eight short prompts on a tiny untrained model (dim 8, one

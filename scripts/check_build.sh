@@ -17,7 +17,9 @@
 #    reference at m = 8 and no slower than it at m = 1.
 # 4. Builds the durability tests under ASan+UBSan and runs them, so the
 #    corruption-fuzz and fault-injection paths are exercised with memory
-#    and UB checking on.
+#    and UB checking on. The string, KG and tokenizer suites run there too:
+#    they fuzz the bit-vector edit distance against the dynamic program and
+#    pin the MCQ prompts and vocabulary built over it.
 # 5. Runs the crash/resume smoke: a training run killed by an injected
 #    crash failpoint (exit 42) must resume from its snapshot and finish
 #    with parameters bit-identical to an uninterrupted run.
@@ -162,14 +164,17 @@ if failures:
 EOF
 echo "GEMM floors OK"
 
-echo "== durability: ASan+UBSan serialize/checkpoint/fault tests =="
+echo "== durability: ASan+UBSan serialize/checkpoint/fault/string tests =="
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DINFUSERKI_SANITIZE=address
-cmake --build "$ASAN_DIR" -j --target durability_test train_state_test
-"$ASAN_DIR/tests/durability_test"
-"$ASAN_DIR/tests/train_state_test"
-echo "sanitized durability tests OK"
+cmake --build "$ASAN_DIR" -j --target durability_test train_state_test \
+  util_test kg_test tokenizer_test
+for asan_test in durability_test train_state_test util_test kg_test \
+                 tokenizer_test; do
+  "$ASAN_DIR/tests/$asan_test"
+done
+echo "sanitized durability and string tests OK"
 
 echo "== durability smoke: injected crash + resume (${SMOKE_DIR}) =="
 RESUME_DIR="${TMPDIR:-/tmp}/check_build_resume"

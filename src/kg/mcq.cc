@@ -1,6 +1,7 @@
 #include "kg/mcq.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
 
 #include "util/logging.h"
@@ -46,8 +47,9 @@ Mcq McqBuilder::Build(size_t triplet_index, int template_id,
   // Distractor 1: minimal edit distance to the head entity.
   size_t best = std::numeric_limits<size_t>::max();
   int first = pool[0];
+  const util::EditDistanceFrom from_head(head_name);
   for (int id : pool) {
-    size_t d = util::EditDistance(kg_->entity(id).name, head_name);
+    size_t d = from_head.To(kg_->entity(id).name);
     if (d < best) {
       best = d;
       first = id;
@@ -55,14 +57,18 @@ Mcq McqBuilder::Build(size_t triplet_index, int template_id,
   }
 
   // Distractors 2-3: random among the ten candidates closest to the answer.
+  // (distance, id) keys are unique, so the partial sort's first `take`
+  // entries are those of a full sort.
+  const util::EditDistanceFrom from_answer(answer);
   std::vector<std::pair<size_t, int>> by_answer_distance;
+  by_answer_distance.reserve(pool.size());
   for (int id : pool) {
     if (id == first) continue;
-    by_answer_distance.emplace_back(
-        util::EditDistance(kg_->entity(id).name, answer), id);
+    by_answer_distance.emplace_back(from_answer.To(kg_->entity(id).name), id);
   }
-  std::sort(by_answer_distance.begin(), by_answer_distance.end());
   size_t take = std::min(kNearestPoolSize, by_answer_distance.size());
+  auto cut = by_answer_distance.begin() + static_cast<std::ptrdiff_t>(take);
+  std::partial_sort(by_answer_distance.begin(), cut, by_answer_distance.end());
   std::vector<int> nearest;
   nearest.reserve(take);
   for (size_t i = 0; i < take; ++i) {

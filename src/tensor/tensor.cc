@@ -1,8 +1,8 @@
 #include "tensor/tensor.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
-#include <unordered_set>
 
 namespace infuserki::tensor {
 
@@ -25,6 +25,53 @@ std::string ShapeToString(const Shape& shape) {
 
 namespace {
 thread_local bool t_grad_enabled = true;
+
+/// The set of nodes Backward's graph walk has reached: open addressing over
+/// node pointers, kept per thread so a warm walk does not allocate. The mark
+/// cannot live in the node, because two threads may walk graphs that share
+/// leaves (one frozen base under two adapters).
+class VisitedNodes {
+ public:
+  void Clear() {
+    std::fill(slots_.begin(), slots_.end(), nullptr);
+    size_ = 0;
+  }
+
+  /// True when `node` was not in the set yet.
+  bool Insert(const internal::TensorImpl* node) {
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    // Fibonacci hashing: the high bits of the product spread aligned heap
+    // addresses over the table.
+    const uint64_t address = reinterpret_cast<uintptr_t>(node);
+    size_t slot = static_cast<size_t>(address * kFibonacci >> 32) & mask;
+    while (slots_[slot] != nullptr) {
+      if (slots_[slot] == node) return false;
+      slot = (slot + 1) & mask;
+    }
+    slots_[slot] = node;
+    ++size_;
+    return true;
+  }
+
+ private:
+  static constexpr uint64_t kFibonacci = 0x9E3779B97F4A7C15;  // 2^64 / phi
+
+  void Grow() {
+    std::vector<const internal::TensorImpl*> old;
+    old.swap(slots_);
+    slots_.assign(std::max<size_t>(1024, old.size() * 2), nullptr);
+    size_ = 0;
+    for (const internal::TensorImpl* node : old) {
+      if (node != nullptr) Insert(node);
+    }
+  }
+
+  std::vector<const internal::TensorImpl*> slots_;  // size is a power of 2
+  size_t size_ = 0;
+};
+
+thread_local VisitedNodes t_visited;
 }  // namespace
 
 bool GradEnabled() { return t_grad_enabled; }
@@ -91,20 +138,21 @@ void Tensor::Backward() {
 
   // Topological order via iterative post-order DFS over parents.
   std::vector<internal::TensorImpl*> order;
-  std::unordered_set<internal::TensorImpl*> visited;
+  VisitedNodes& visited = t_visited;
+  visited.Clear();
   struct Frame {
     internal::TensorImpl* node;
     size_t next_parent;
   };
   std::vector<Frame> stack;
   stack.push_back({impl_.get(), 0});
-  visited.insert(impl_.get());
+  visited.Insert(impl_.get());
   while (!stack.empty()) {
     Frame& frame = stack.back();
     if (frame.next_parent < frame.node->parents.size()) {
       internal::TensorImpl* parent =
           frame.node->parents[frame.next_parent++].get();
-      if (visited.insert(parent).second) {
+      if (visited.Insert(parent)) {
         stack.push_back({parent, 0});
       }
     } else {

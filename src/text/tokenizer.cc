@@ -1,7 +1,8 @@
 #include "text/tokenizer.h"
 
+#include <algorithm>
 #include <cctype>
-#include <map>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -41,17 +42,20 @@ Tokenizer::Tokenizer() {
 
 Tokenizer Tokenizer::Build(const std::vector<std::string>& corpus,
                            int min_count) {
-  // std::map gives deterministic iteration order, hence deterministic ids.
-  std::map<std::string, int> counts;
+  std::unordered_map<std::string, int> counts;
   for (const std::string& doc : corpus) {
-    for (const std::string& token : BasicTokenize(doc)) {
-      ++counts[token];
+    for (std::string& token : BasicTokenize(doc)) {
+      ++counts[std::move(token)];
     }
   }
-  Tokenizer tokenizer;
+  std::vector<std::string> words;
   for (const auto& [word, count] : counts) {
-    if (count >= min_count) tokenizer.AddWord(word);
+    if (count >= min_count) words.push_back(word);
   }
+  // Ids follow the sorted word order, whatever the corpus order.
+  std::sort(words.begin(), words.end());
+  Tokenizer tokenizer;
+  for (const std::string& word : words) tokenizer.AddWord(word);
   return tokenizer;
 }
 

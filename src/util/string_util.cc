@@ -80,9 +80,14 @@ std::string ReplaceAll(std::string_view text, std::string_view from,
   }
 }
 
-size_t EditDistance(std::string_view a, std::string_view b) {
+namespace {
+
+constexpr size_t kWordBits = 64;
+
+/// Two-row dynamic program; the path for patterns longer than one word.
+size_t EditDistanceDp(std::string_view a, std::string_view b) {
   if (a.size() < b.size()) std::swap(a, b);
-  // Two-row dynamic program; b is the shorter string.
+  // b is the shorter string.
   std::vector<size_t> prev(b.size() + 1);
   std::vector<size_t> curr(b.size() + 1);
   for (size_t j = 0; j <= b.size(); ++j) prev[j] = j;
@@ -95,6 +100,54 @@ size_t EditDistance(std::string_view a, std::string_view b) {
     std::swap(prev, curr);
   }
   return prev[b.size()];
+}
+
+}  // namespace
+
+EditDistanceFrom::EditDistanceFrom(std::string_view pattern)
+    : pattern_(pattern) {
+  if (pattern_.size() > kWordBits) return;
+  for (size_t i = 0; i < pattern_.size(); ++i) {
+    match_[static_cast<unsigned char>(pattern_[i])] |= uint64_t{1} << i;
+  }
+}
+
+size_t EditDistanceFrom::To(std::string_view text) const {
+  const size_t m = pattern_.size();
+  if (m == 0) return text.size();
+  if (m > kWordBits) return EditDistanceDp(pattern_, text);
+  // Column j of the DP table is held as vertical deltas D[i][j] -
+  // D[i-1][j] in {-1, 0, +1}: bit i-1 of pv (mv) is set where the delta is
+  // +1 (-1). Row 0 is D[0][j] = j, so every horizontal delta entering at the
+  // top is +1 (the `| 1` below). `score` tracks D[m][j] through the
+  // horizontal delta at bit m-1. Bits at and above m never carry into the
+  // bits below, so they need no masking.
+  const uint64_t last = uint64_t{1} << (m - 1);
+  uint64_t pv = ~uint64_t{0};
+  uint64_t mv = 0;
+  size_t score = m;
+  for (char c : text) {
+    const uint64_t eq = match_[static_cast<unsigned char>(c)];
+    const uint64_t xv = eq | mv;
+    const uint64_t xh = (((eq & pv) + pv) ^ pv) | eq;
+    uint64_t ph = mv | ~(xh | pv);
+    uint64_t mh = pv & xh;
+    if (ph & last) {
+      ++score;
+    } else if (mh & last) {
+      --score;
+    }
+    ph = (ph << 1) | 1;
+    mh <<= 1;
+    pv = mh | ~(xv | ph);
+    mv = ph & xv;
+  }
+  return score;
+}
+
+size_t EditDistance(std::string_view a, std::string_view b) {
+  return a.size() <= b.size() ? EditDistanceFrom(a).To(b)
+                              : EditDistanceFrom(b).To(a);
 }
 
 std::string FormatFloat(double value, int precision) {

@@ -1,7 +1,9 @@
 #ifndef INFUSERKI_UTIL_STRING_UTIL_H_
 #define INFUSERKI_UTIL_STRING_UTIL_H_
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,8 +31,28 @@ bool EndsWith(std::string_view text, std::string_view suffix);
 std::string ReplaceAll(std::string_view text, std::string_view from,
                        std::string_view to);
 
-/// Levenshtein distance (unit costs). Used by the MCQ distractor selection
-/// rule from Appendix A.1 of the paper.
+/// Levenshtein distance (unit costs) from one pattern to many texts. Used by
+/// the MCQ distractor selection rule from Appendix A.1 of the paper, which
+/// compares one name against a relation's whole tail pool.
+///
+/// The constructor builds the pattern's per-byte match masks once; To() then
+/// runs Myers' bit-vector recurrence (J. ACM 46(3), 1999, in Hyyro's form
+/// for global distance): one 64-bit word per text byte, no allocation.
+/// Patterns over 64 bytes fall back to the two-row dynamic program.
+/// `pattern` must outlive the object.
+class EditDistanceFrom {
+ public:
+  explicit EditDistanceFrom(std::string_view pattern);
+
+  size_t To(std::string_view text) const;
+
+ private:
+  std::string_view pattern_;
+  std::array<uint64_t, 256> match_{};  // bit i: pattern_[i] == byte
+};
+
+/// Levenshtein distance (unit costs); EditDistanceFrom(a).To(b) with the
+/// shorter string as the pattern.
 size_t EditDistance(std::string_view a, std::string_view b);
 
 /// Formats a double with fixed precision, e.g. FormatFloat(0.987, 2) ==

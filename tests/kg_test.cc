@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "kg/dataset.h"
 #include "kg/graph.h"
 #include "kg/mcq.h"
 #include "kg/synth.h"
 #include "kg/templates.h"
+#include "tests/mcq_corpus.h"
+#include "util/crc32.h"
 
 namespace infuserki::kg {
 namespace {
@@ -157,6 +162,22 @@ TEST(Mcq, PromptFormats) {
   EXPECT_NE(without.find("question :"), std::string::npos);
   EXPECT_EQ(McqGoldResponse(mcq),
             mcq.options[static_cast<size_t>(mcq.correct)]);
+}
+
+// Golden digests of the prompts the distractor rule builds at serve_chat's
+// scale (2400 triplets): CRC-32 over every FormatMcqPrompt of BuildAll, each
+// followed by a newline. Pinned from the two-row DP edit distance, so any
+// change to a distance, a tie-break or an RNG draw moves them.
+TEST(Mcq, BuildAllPromptsArePinned) {
+  const uint32_t kDigests[] = {0x0ec5e1f7u, 0x0288c88cu, 0x24c43d27u};
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    uint32_t crc = 0;
+    for (const std::string& prompt : testing::McqCorpus(2400, seed)) {
+      crc = util::Crc32(prompt + "\n", crc);
+    }
+    EXPECT_EQ(crc, kDigests[seed - 1])
+        << "seed " << seed << ": 0x" << std::hex << crc;
+  }
 }
 
 TEST(Mcq, InstructionWrapper) {

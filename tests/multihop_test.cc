@@ -8,8 +8,8 @@ namespace {
 
 TEST(TwoHop, ItemsAreValidChains) {
   // UMLS entities appear as both heads and tails, so 2-hop chains exist.
-  kg::KnowledgeGraph kg =
-      kg::SyntheticUmls({.num_triplets = 200, .seed = 71, .chain_fraction = 0.3});
+  kg::KnowledgeGraph kg = kg::SyntheticUmls(
+      {.num_triplets = 200, .seed = 71, .chain_fraction = 0.3});
   util::Rng rng(72);
   std::vector<TwoHopItem> items =
       Build2HopTask(kg, /*max_items=*/20, /*max_candidates=*/5, &rng);
@@ -32,8 +32,8 @@ TEST(TwoHop, ItemsAreValidChains) {
 }
 
 TEST(TwoHop, EvaluatorRuns) {
-  kg::KnowledgeGraph kg =
-      kg::SyntheticUmls({.num_triplets = 150, .seed = 73, .chain_fraction = 0.3});
+  kg::KnowledgeGraph kg = kg::SyntheticUmls(
+      {.num_triplets = 150, .seed = 73, .chain_fraction = 0.3});
   util::Rng rng(74);
   std::vector<TwoHopItem> items = Build2HopTask(kg, 6, 4, &rng);
   ASSERT_FALSE(items.empty());
@@ -60,8 +60,8 @@ TEST(TwoHop, EvaluatorRuns) {
 }
 
 TEST(TwoHop, RespectsMaxItems) {
-  kg::KnowledgeGraph kg =
-      kg::SyntheticUmls({.num_triplets = 200, .seed = 76, .chain_fraction = 0.3});
+  kg::KnowledgeGraph kg = kg::SyntheticUmls(
+      {.num_triplets = 200, .seed = 76, .chain_fraction = 0.3});
   util::Rng rng(77);
   std::vector<TwoHopItem> items = Build2HopTask(kg, 3, 4, &rng);
   EXPECT_LE(items.size(), 3u);

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <string>
 
+#include "tests/mcq_corpus.h"
 #include "text/tokenizer.h"
+#include "util/crc32.h"
 #include "util/serialize.h"
 
 namespace infuserki::text {
@@ -103,6 +107,38 @@ TEST(Tokenizer, DeterministicIds) {
   Tokenizer b = Tokenizer::Build({"zebra apple", "mango"});
   EXPECT_EQ(a.WordId("zebra"), b.WordId("zebra"));
   EXPECT_EQ(a.WordId("apple"), b.WordId("apple"));
+}
+
+// Golden digests of the vocabulary serve_chat builds: CRC-32 over the word
+// list in id order (each word followed by a newline) of Build over the MCQ
+// prompts at 2400 triplets. Pinned from the std::map-ordered build, so any
+// change to a word, an id or the min_count cut moves them.
+TEST(Tokenizer, McqCorpusVocabularyIsPinned) {
+  struct Golden {
+    uint64_t seed;
+    int min_count;
+    size_t vocab_size;
+    uint32_t digest;
+  };
+  const Golden kGolden[] = {
+      {1, 1, 1769, 0x882e9f82u},
+      {2, 1, 1742, 0xd13aa86fu},
+      {3, 1, 1748, 0x9966eacau},
+      {1, 3, 1179, 0xcd839380u},
+  };
+  for (const Golden& golden : kGolden) {
+    std::vector<std::string> corpus = testing::McqCorpus(2400, golden.seed);
+    Tokenizer tokenizer = Tokenizer::Build(corpus, golden.min_count);
+    uint32_t crc = 0;
+    for (size_t id = 0; id < tokenizer.vocab_size(); ++id) {
+      crc = util::Crc32(tokenizer.IdToWord(static_cast<int>(id)) + "\n", crc);
+    }
+    EXPECT_EQ(tokenizer.vocab_size(), golden.vocab_size)
+        << "seed " << golden.seed << " min_count " << golden.min_count;
+    EXPECT_EQ(crc, golden.digest)
+        << "seed " << golden.seed << " min_count " << golden.min_count
+        << ": 0x" << std::hex << crc;
+  }
 }
 
 TEST(Tokenizer, SerializeRoundTrip) {

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -56,6 +62,115 @@ TEST(EditDistance, KnownValues) {
 TEST(EditDistance, Symmetry) {
   EXPECT_EQ(EditDistance("cardio", "cardigan"),
             EditDistance("cardigan", "cardio"));
+}
+
+// The two-row dynamic program EditDistance ran before the bit-vector
+// kernel, kept as the oracle.
+size_t ReferenceEditDistance(std::string_view a, std::string_view b) {
+  if (a.size() < b.size()) std::swap(a, b);
+  std::vector<size_t> prev(b.size() + 1);
+  std::vector<size_t> curr(b.size() + 1);
+  for (size_t j = 0; j <= b.size(); ++j) prev[j] = j;
+  for (size_t i = 1; i <= a.size(); ++i) {
+    curr[0] = i;
+    for (size_t j = 1; j <= b.size(); ++j) {
+      size_t substitute = prev[j - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
+      curr[j] = std::min({prev[j] + 1, curr[j - 1] + 1, substitute});
+    }
+    std::swap(prev, curr);
+  }
+  return prev[b.size()];
+}
+
+size_t RandomLength(Rng* rng) {
+  return static_cast<size_t>(rng->UniformInt(0, 130));
+}
+
+// Bytes from a window of `alphabet` consecutive values (mod 256) at a random
+// offset, so NUL, 0x7f/0x80 and 0xff all turn up, and small alphabets give
+// many matches.
+std::string RandomBytes(Rng* rng, size_t length, int alphabet) {
+  int64_t offset = rng->UniformInt(0, 255);
+  std::string out(length, '\0');
+  for (char& c : out) {
+    int64_t value = (offset + rng->UniformInt(0, alphabet - 1)) % 256;
+    c = static_cast<char>(static_cast<unsigned char>(value));
+  }
+  return out;
+}
+
+// `text` after a few random substitutions, insertions and deletions, so
+// distances are small and the kernel's -1 deltas are exercised.
+std::string Mutate(Rng* rng, std::string text, int alphabet) {
+  int64_t edits = rng->UniformInt(0, 6);
+  for (int64_t e = 0; e < edits; ++e) {
+    char byte = RandomBytes(rng, 1, alphabet)[0];
+    int64_t size = static_cast<int64_t>(text.size());
+    int64_t kind = text.empty() ? 0 : rng->UniformInt(0, 2);
+    if (kind == 0) {
+      text.insert(static_cast<size_t>(rng->UniformInt(0, size)), 1, byte);
+    } else if (kind == 1) {
+      text[static_cast<size_t>(rng->UniformInt(0, size - 1))] = byte;
+    } else {
+      text.erase(static_cast<size_t>(rng->UniformInt(0, size - 1)), 1);
+    }
+  }
+  return text;
+}
+
+void ExpectMatchesReference(const std::string& a, const std::string& b) {
+  size_t want = ReferenceEditDistance(a, b);
+  ASSERT_EQ(EditDistance(a, b), want) << a.size() << " x " << b.size();
+  ASSERT_EQ(EditDistance(b, a), want) << b.size() << " x " << a.size();
+  ASSERT_EQ(EditDistanceFrom(a).To(b), want) << a.size() << " x " << b.size();
+  ASSERT_EQ(EditDistanceFrom(b).To(a), want) << b.size() << " x " << a.size();
+}
+
+TEST(EditDistance, MatchesDynamicProgramOnRandomBytes) {
+  Rng rng(2025);
+  const int kAlphabets[] = {1, 2, 4, 26, 256};
+  // Every pairing of the word-boundary lengths, then random lengths.
+  const size_t kEdges[] = {0, 1, 2, 63, 64, 65, 127, 128, 130};
+  for (size_t la : kEdges) {
+    for (size_t lb : kEdges) {
+      for (int alphabet : kAlphabets) {
+        ExpectMatchesReference(RandomBytes(&rng, la, alphabet),
+                               RandomBytes(&rng, lb, alphabet));
+      }
+    }
+  }
+  for (int trial = 0; trial < 3000; ++trial) {
+    int alphabet = kAlphabets[rng.UniformInt(0, 4)];
+    std::string a = RandomBytes(&rng, RandomLength(&rng), alphabet);
+    std::string b = rng.Bernoulli(0.5)
+                        ? Mutate(&rng, a, alphabet)
+                        : RandomBytes(&rng, RandomLength(&rng), alphabet);
+    ExpectMatchesReference(a, b);
+  }
+}
+
+TEST(EditDistance, HighAndNulBytes) {
+  const std::string nul_led("\0ab\xff\x80", 5);
+  EXPECT_EQ(EditDistance(nul_led, std::string("ab\xff\x80", 4)), 1u);
+  EXPECT_EQ(EditDistance(nul_led, std::string("\0ab\x7f\x80", 5)), 1u);
+  EXPECT_EQ(EditDistance(std::string(64, '\xff'), std::string(65, '\xff')),
+            1u);
+  EXPECT_EQ(EditDistance(std::string(64, '\0'), ""), 64u);
+}
+
+TEST(EditDistanceFrom, OnePatternManyTexts) {
+  Rng rng(2026);
+  for (size_t length : {0, 1, 39, 63, 64, 65, 100}) {
+    std::string pattern = RandomBytes(&rng, length, 4);
+    EditDistanceFrom from(pattern);
+    for (int text = 0; text < 50; ++text) {
+      std::string other = text % 2 == 0
+                              ? Mutate(&rng, pattern, 4)
+                              : RandomBytes(&rng, RandomLength(&rng), 4);
+      ASSERT_EQ(from.To(other), ReferenceEditDistance(pattern, other))
+          << "pattern " << length << " text " << other.size();
+    }
+  }
 }
 
 TEST(FormatFloat, Basic) {
