@@ -32,15 +32,42 @@ TransformerLayer::TransformerLayer(const TransformerConfig& config,
   RegisterModule("ffn_down", &ffn_down_);
 }
 
-Tensor TransformerLayer::Block(const Tensor& x, int layer_index,
-                              const ForwardOptions& options,
-                              const AttendFn& attend) const {
-  // Attention sublayer.
+Tensor TransformerLayer::Forward(const Tensor& x,
+                                 const std::vector<size_t>& row_lens,
+                                 const std::vector<LayerKv*>& row_kv,
+                                 int layer_index,
+                                 const ForwardOptions& options) const {
+  CHECK_EQ(row_lens.size(), row_kv.size());
+  // Attention sublayer. Attention is the only sublayer that mixes
+  // positions, so it runs per row inside one ragged kernel call: each
+  // row's K/V page is extended with its new rows, then every row attends
+  // against its own page (earlier rows as an always-visible prefix).
   Tensor attn_in = tensor::RmsNorm(x, norm1_weight_);
   Tensor q = wq_.Forward(attn_in);
   Tensor k = wk_.Forward(attn_in);
   Tensor v = wv_.Forward(attn_in);
-  Tensor attn_out = wo_.Forward(attend(q, k, v));
+  std::vector<Tensor> keys(row_lens.size());
+  std::vector<Tensor> values(row_lens.size());
+  size_t offset = 0;
+  for (size_t r = 0; r < row_lens.size(); ++r) {
+    CHECK_GT(row_lens[r], size_t{0});
+    // A one-row batch owns all of k/v: no slice copy.
+    Tensor k_r =
+        row_lens.size() == 1 ? k : tensor::SliceRows(k, offset, row_lens[r]);
+    Tensor v_r =
+        row_lens.size() == 1 ? v : tensor::SliceRows(v, offset, row_lens[r]);
+    offset += row_lens[r];
+    LayerKv* kv = row_kv[r];
+    if (kv->k.defined()) {
+      k_r = tensor::ConcatRows(kv->k, k_r);
+      v_r = tensor::ConcatRows(kv->v, v_r);
+    }
+    kv->k = keys[r] = k_r;
+    kv->v = values[r] = v_r;
+  }
+  CHECK_EQ(offset, q.dim(0));
+  Tensor attn_out = wo_.Forward(tensor::CausalSelfAttentionRagged(
+      q, keys, values, row_lens, num_heads_));
   if (options.attn_hook != nullptr) {
     Tensor delta = options.attn_hook->AttnDelta(layer_index, attn_in);
     if (delta.defined()) attn_out = tensor::Add(attn_out, delta);
@@ -62,63 +89,6 @@ Tensor TransformerLayer::Block(const Tensor& x, int layer_index,
   return tensor::Add(h, ffn_out);
 }
 
-Tensor TransformerLayer::Forward(const Tensor& x, int layer_index,
-                                 const ForwardOptions& options) const {
-  return Block(x, layer_index, options,
-               [&](const Tensor& q, const Tensor& k, const Tensor& v) {
-                 const PrefixKv* prefix = options.prefix;
-                 if (prefix == nullptr || prefix->prefix_len == 0) {
-                   return tensor::CausalSelfAttention(q, k, v, num_heads_);
-                 }
-                 size_t l = static_cast<size_t>(layer_index);
-                 CHECK_LT(l, prefix->keys.size());
-                 return tensor::CausalSelfAttention(
-                     q, tensor::ConcatRows(prefix->keys[l], k),
-                     tensor::ConcatRows(prefix->values[l], v), num_heads_,
-                     prefix->prefix_len);
-               });
-}
-
-Tensor TransformerLayer::ForwardBatched(const Tensor& x,
-                                        const std::vector<size_t>& row_lens,
-                                        const std::vector<LayerKv*>& row_kv,
-                                        int layer_index,
-                                        const ForwardOptions& options) const {
-  CHECK_EQ(row_lens.size(), row_kv.size());
-  // Attention is the only sublayer that mixes positions, so it runs per
-  // row inside one ragged kernel call: each row's cached K/V page is
-  // extended with its new rows, then CausalSelfAttentionRagged attends
-  // every row against its own page (cached rows as an always-visible
-  // prefix) with per-row arithmetic identical to CausalSelfAttention.
-  auto attend = [&](const Tensor& q, const Tensor& k, const Tensor& v) {
-    std::vector<Tensor> keys(row_lens.size());
-    std::vector<Tensor> values(row_lens.size());
-    size_t offset = 0;
-    for (size_t r = 0; r < row_lens.size(); ++r) {
-      CHECK_GT(row_lens[r], size_t{0});
-      // A one-row batch owns all of k/v: no slice copy.
-      Tensor k_r = row_lens.size() == 1
-                       ? k
-                       : tensor::SliceRows(k, offset, row_lens[r]);
-      Tensor v_r = row_lens.size() == 1
-                       ? v
-                       : tensor::SliceRows(v, offset, row_lens[r]);
-      offset += row_lens[r];
-      LayerKv* kv = row_kv[r];
-      if (kv->k.defined()) {
-        k_r = tensor::ConcatRows(kv->k, k_r);
-        v_r = tensor::ConcatRows(kv->v, v_r);
-      }
-      kv->k = keys[r] = k_r;
-      kv->v = values[r] = v_r;
-    }
-    CHECK_EQ(offset, q.dim(0));
-    return tensor::CausalSelfAttentionRagged(q, keys, values, row_lens,
-                                             num_heads_);
-  };
-  return Block(x, layer_index, options, attend);
-}
-
 TransformerLM::TransformerLM(const TransformerConfig& config, util::Rng* rng)
     : config_(config),
       token_emb_(config.vocab_size, config.dim, rng),
@@ -137,28 +107,49 @@ TransformerLM::TransformerLM(const TransformerConfig& config, util::Rng* rng)
   }
 }
 
-Tensor TransformerLM::Hidden(const std::vector<int>& tokens,
-                             const ForwardOptions& options) const {
-  CHECK(!tokens.empty());
-  CHECK_LE(tokens.size(), config_.max_seq_len)
-      << "sequence exceeds max_seq_len";
+Tensor TransformerLM::PackedHidden(
+    const std::vector<int>& tokens, const std::vector<int>& positions,
+    const std::vector<size_t>& row_lens,
+    const std::vector<std::vector<LayerKv*>>& pages,
+    const ForwardOptions& options) const {
   if (options.ffn_hook != nullptr) options.ffn_hook->BeginForward();
   if (options.attn_hook != nullptr) options.attn_hook->BeginForward();
   if (options.trace != nullptr) {
     options.trace->ffn_inputs.clear();
     options.trace->layer_outputs.clear();
   }
-  std::vector<int> positions(tokens.size());
-  std::iota(positions.begin(), positions.end(), 0);
   Tensor x = tensor::Add(token_emb_.Forward(tokens),
                          pos_emb_.Forward(positions));
   for (size_t l = 0; l < layers_.size(); ++l) {
-    x = layers_[l]->Forward(x, static_cast<int>(l), options);
+    x = layers_[l]->Forward(x, row_lens, pages[l], static_cast<int>(l),
+                            options);
     if (options.trace != nullptr && options.trace->record_layer_outputs) {
       options.trace->layer_outputs.push_back(x.Detach());
     }
   }
   return tensor::RmsNorm(x, final_norm_weight_);
+}
+
+Tensor TransformerLM::Hidden(const std::vector<int>& tokens,
+                             const ForwardOptions& options) const {
+  CHECK(!tokens.empty());
+  CHECK_LE(tokens.size(), config_.max_seq_len)
+      << "sequence exceeds max_seq_len";
+  std::vector<LayerKv> local(layers_.size());
+  const PrefixKv* prefix = options.prefix;
+  if (prefix != nullptr && prefix->prefix_len > 0) {
+    CHECK_EQ(prefix->keys.size(), layers_.size());
+    CHECK_EQ(prefix->values.size(), layers_.size());
+    for (size_t l = 0; l < layers_.size(); ++l) {
+      CHECK_EQ(prefix->keys[l].dim(0), prefix->prefix_len);
+      local[l] = {prefix->keys[l], prefix->values[l]};
+    }
+  }
+  std::vector<std::vector<LayerKv*>> pages(layers_.size());
+  for (size_t l = 0; l < layers_.size(); ++l) pages[l] = {&local[l]};
+  std::vector<int> positions(tokens.size());
+  std::iota(positions.begin(), positions.end(), 0);
+  return PackedHidden(tokens, positions, {tokens.size()}, pages, options);
 }
 
 Tensor TransformerLM::Logits(const std::vector<int>& tokens,
@@ -206,22 +197,18 @@ Tensor TransformerLM::HiddenBatched(const std::vector<BatchRow>& rows,
     }
     row_lens.push_back(row.tokens->size());
   }
-  if (options.ffn_hook != nullptr) options.ffn_hook->BeginForward();
-  if (options.attn_hook != nullptr) options.attn_hook->BeginForward();
-  Tensor x = tensor::Add(token_emb_.Forward(packed_tokens),
-                         pos_emb_.Forward(packed_positions));
-  std::vector<LayerKv*> row_kv(rows.size());
+  std::vector<std::vector<LayerKv*>> pages(layers_.size());
   for (size_t l = 0; l < layers_.size(); ++l) {
-    for (size_t r = 0; r < rows.size(); ++r) {
-      row_kv[r] = cache->layer(l, rows[r].slot);
+    for (const BatchRow& row : rows) {
+      pages[l].push_back(cache->layer(l, row.slot));
     }
-    x = layers_[l]->ForwardBatched(x, row_lens, row_kv, static_cast<int>(l),
-                                   options);
   }
+  Tensor hidden =
+      PackedHidden(packed_tokens, packed_positions, row_lens, pages, options);
   for (const BatchRow& row : rows) {
     cache->AdvanceTokens(row.tokens->size(), row.slot);
   }
-  return tensor::RmsNorm(x, final_norm_weight_);
+  return hidden;
 }
 
 Tensor TransformerLM::LogitsBatched(const std::vector<BatchRow>& rows,

@@ -1,7 +1,6 @@
 #ifndef INFUSERKI_MODEL_TRANSFORMER_H_
 #define INFUSERKI_MODEL_TRANSFORMER_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -21,27 +20,22 @@ class TransformerLayer : public tensor::Module {
  public:
   TransformerLayer(const TransformerConfig& config, util::Rng* rng);
 
-  /// Full-sequence residual-stream update for layer `layer_index`
-  /// (prefix-tuning rows, if any, are concatenated from `options.prefix`).
-  tensor::Tensor Forward(const tensor::Tensor& x, int layer_index,
+  /// Residual-stream update for layer `layer_index` over a ragged batch.
+  /// `x` is the packed batch [sum(row_lens), D] — row r's new positions
+  /// occupy the `row_lens[r]` consecutive rows starting at offset
+  /// sum(row_lens[0..r)). Every position-wise sublayer (norms,
+  /// projections, SwiGLU, hook deltas, residuals) runs on the packed
+  /// tensor directly, while attention runs per row against `row_kv[r]`,
+  /// that row's K/V page: the new rows are appended and the page's earlier
+  /// rows (prefix-tuning rows included) form an always-visible prefix. A
+  /// whole sequence is the one-row case over a page that holds at most the
+  /// prefix rows (DESIGN.md §11). The hooks in `options` see the packed
+  /// sublayer inputs; `options.prefix` is not read here (the pages carry
+  /// it).
+  tensor::Tensor Forward(const tensor::Tensor& x,
+                         const std::vector<size_t>& row_lens,
+                         const std::vector<LayerKv*>& row_kv, int layer_index,
                          const ForwardOptions& options) const;
-
-  /// Ragged batched cached update. `x` is the packed batch
-  /// [sum(row_lens), D] — row r's new positions occupy the `row_lens[r]`
-  /// consecutive rows starting at offset sum(row_lens[0..r)). Every
-  /// position-wise sublayer (norms, projections, SwiGLU, hook deltas,
-  /// residuals) runs on the packed tensor directly, while attention runs
-  /// per row against `row_kv[r]`, that row's cached K/V page: the new rows
-  /// are appended and the cached rows (prefix-tuning rows included) form
-  /// an always-visible prefix. Row for row bit-identical to the
-  /// full-sequence Forward (DESIGN.md §11). The hooks in `options` see
-  /// the packed sublayer inputs; `options.prefix` is not read here (the
-  /// pages were seeded with it).
-  tensor::Tensor ForwardBatched(const tensor::Tensor& x,
-                                const std::vector<size_t>& row_lens,
-                                const std::vector<LayerKv*>& row_kv,
-                                int layer_index,
-                                const ForwardOptions& options) const;
 
   tensor::Linear& wq() { return wq_; }
   tensor::Linear& wk() { return wk_; }
@@ -52,18 +46,6 @@ class TransformerLayer : public tensor::Module {
   tensor::Linear& ffn_down() { return ffn_down_; }
 
  private:
-  /// Attention over the layer's projected q/k/v -> [rows of q, D]; the one
-  /// step in which Forward and ForwardBatched differ.
-  using AttendFn = std::function<tensor::Tensor(
-      const tensor::Tensor& q, const tensor::Tensor& k,
-      const tensor::Tensor& v)>;
-
-  /// The block body both forwards share: every sublayer, hook delta and
-  /// residual, with attention delegated to `attend`.
-  tensor::Tensor Block(const tensor::Tensor& x, int layer_index,
-                       const ForwardOptions& options,
-                       const AttendFn& attend) const;
-
   size_t num_heads_;
   tensor::Tensor norm1_weight_;
   tensor::Tensor norm2_weight_;
@@ -83,7 +65,10 @@ class TransformerLM : public tensor::Module {
  public:
   TransformerLM(const TransformerConfig& config, util::Rng* rng);
 
-  /// Final-norm hidden states for `tokens` -> [T, D].
+  /// Final-norm hidden states for `tokens` -> [T, D]: the whole sequence
+  /// as one row over throwaway pages seeded with `options.prefix` (not
+  /// detached, so prefix-tuning gradients reach it). Records a graph when
+  /// grad mode is on; sequence-stateful hooks and `trace` are allowed.
   tensor::Tensor Hidden(const std::vector<int>& tokens,
                         const ForwardOptions& options = {}) const;
 
@@ -133,6 +118,16 @@ class TransformerLM : public tensor::Module {
   const tensor::Embedding& token_embedding() const { return token_emb_; }
 
  private:
+  /// The one forward body behind Hidden and HiddenBatched: embeds the
+  /// packed `tokens` at `positions`, runs every layer with row r's
+  /// attention over `pages[l][r]` (row r has `row_lens[r]` new tokens),
+  /// and applies the final norm. The front doors hold the preconditions.
+  tensor::Tensor PackedHidden(
+      const std::vector<int>& tokens, const std::vector<int>& positions,
+      const std::vector<size_t>& row_lens,
+      const std::vector<std::vector<LayerKv*>>& pages,
+      const ForwardOptions& options) const;
+
   TransformerConfig config_;
   tensor::Embedding token_emb_;
   tensor::Embedding pos_emb_;

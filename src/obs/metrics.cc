@@ -81,7 +81,8 @@ HistogramStats SubtractHistogramStats(const HistogramStats& after,
   delta.buckets.resize(after.buckets.size(), 0);
   for (size_t b = 0; b < after.buckets.size(); ++b) {
     uint64_t prior = b < before.buckets.size() ? before.buckets[b] : 0;
-    delta.buckets[b] = after.buckets[b] >= prior ? after.buckets[b] - prior : 0;
+    delta.buckets[b] =
+        after.buckets[b] >= prior ? after.buckets[b] - prior : 0;
   }
   if (delta.count == 0) return HistogramStats{};
   FillQuantiles(&delta);

@@ -588,7 +588,8 @@ util::Status InferenceServer::RetryStep(
   // backoff loop can outlive neither the request it serves nor the
   // server's own policy. A plain assignment here once let a no-deadline
   // request erase the configured bound — hence BoundDeadline.
-  util::RetryOptions retry = util::BoundDeadline(options_.retry, job->deadline);
+  util::RetryOptions retry =
+      util::BoundDeadline(options_.retry, job->deadline);
   int attempts = 0;
   util::Status status = util::RetryWithBackoff(
       [&] {
@@ -995,7 +996,9 @@ void InferenceServer::WatchdogLoop() {
     size_t depth = 0;
     {
       util::MutexLock lock(mu_);
-      if (!watchdog_stop_) watchdog_cv_.WaitFor(mu_, options_.watchdog_interval);
+      if (!watchdog_stop_) {
+        watchdog_cv_.WaitFor(mu_, options_.watchdog_interval);
+      }
       if (watchdog_stop_) return;
       depth = admission_.size();
     }

@@ -101,7 +101,7 @@ Embedding::Embedding(size_t num_embeddings, size_t dim, util::Rng* rng,
 }
 
 Tensor Embedding::Forward(const std::vector<int>& ids) const {
-  return EmbeddingLookup(table_, ids);
+  return GatherRows(table_, ids);
 }
 
 Mlp::Mlp(size_t in_features, size_t hidden, size_t out_features,

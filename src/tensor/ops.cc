@@ -16,7 +16,7 @@ using internal::kLanes;
 using internal::TensorImpl;
 using internal::Vec;
 
-// Ragged attention calls below this many multiply-adds run inline:
+// Attention calls below this many multiply-adds run inline:
 // thread-pool dispatch (schedule + wait) costs more than the arithmetic.
 constexpr size_t kAttentionParallelMinWork = 1 << 15;
 
@@ -26,8 +26,8 @@ struct OpMetrics {
   obs::Counter* matmul_ops;      // forward Matmul/MatmulNT calls
   obs::Counter* softmax_ops;
   obs::Counter* softmax_rows;
-  obs::Counter* attention_ops;   // forward CausalSelfAttention calls
-  obs::Counter* attention_flops; // ~4*Tq*Tk*d per forward call
+  obs::Counter* attention_ops;   // forward attention rows (sequences)
+  obs::Counter* attention_flops; // ~4*Tq*Tk*d per row
 };
 
 OpMetrics& Metrics() {
@@ -63,8 +63,8 @@ BroadcastKind CheckBroadcast(const Tensor& a, const Tensor& b,
   return BroadcastKind::kSuffix;
 }
 
-/// One (head, query row) of causal attention, shared by both attention
-/// kernels so a row's arithmetic does not depend on which one ran it.
+/// One (head, query row) of causal attention. The one attention kernel
+/// runs every row through it, whatever the batch it sits in.
 /// `kp`/`vp` point at the head's first column of key/value row 0 (row
 /// stride `d`); the first `limit` keys are visible. Scores go to `arow`
 /// (max-shifted softmax, ascending key order), then the weighted value
@@ -233,36 +233,6 @@ Tensor Add(const Tensor& a, const Tensor& b) {
       });
 }
 
-Tensor Sub(const Tensor& a, const Tensor& b) {
-  BroadcastKind kind = CheckBroadcast(a, b, "Sub");
-  std::vector<float> out(a.vec());
-  const float* bp = b.data();
-  size_t bn = b.size();
-  if (kind == BroadcastKind::kScalar) {
-    for (float& v : out) v -= bp[0];
-  } else {
-    for (size_t i = 0; i < out.size(); ++i) out[i] -= bp[i % bn];
-  }
-  return Tensor::MakeOpResult(
-      a.shape(), std::move(out), {a, b}, [a, b](TensorImpl* result) {
-        result->backward_fn = [a, b, result]() {
-          const float* g = result->grad.data();
-          size_t n = result->data.size();
-          if (a.requires_grad()) {
-            float* ag = a.impl()->MutableGrad();
-            for (size_t i = 0; i < n; ++i) ag[i] += g[i];
-          }
-          if (b.requires_grad()) {
-            float* bg = b.impl()->MutableGrad();
-            size_t bn = b.size();
-            for (size_t base = 0; base < n; base += bn) {
-              for (size_t j = 0; j < bn; ++j) bg[j] -= g[base + j];
-            }
-          }
-        };
-      });
-}
-
 Tensor Mul(const Tensor& a, const Tensor& b) {
   BroadcastKind kind = CheckBroadcast(a, b, "Mul");
   std::vector<float> out(a.vec());
@@ -297,20 +267,6 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
               }
             }
           }
-        };
-      });
-}
-
-Tensor AddScalar(const Tensor& a, float s) {
-  std::vector<float> out(a.vec());
-  for (float& v : out) v += s;
-  return Tensor::MakeOpResult(
-      a.shape(), std::move(out), {a}, [a](TensorImpl* result) {
-        result->backward_fn = [a, result]() {
-          if (!a.requires_grad()) return;
-          float* ag = a.impl()->MutableGrad();
-          const float* g = result->grad.data();
-          for (size_t i = 0; i < result->data.size(); ++i) ag[i] += g[i];
         };
       });
 }
@@ -573,35 +529,6 @@ Tensor RmsNorm(const Tensor& x, const Tensor& weight, float eps) {
       });
 }
 
-Tensor EmbeddingLookup(const Tensor& table, const std::vector<int>& ids) {
-  CHECK_EQ(table.rank(), size_t{2});
-  CHECK(!ids.empty());
-  size_t vocab = table.dim(0), d = table.dim(1);
-  std::vector<float> out(ids.size() * d);
-  const float* tp = table.data();
-  for (size_t i = 0; i < ids.size(); ++i) {
-    CHECK_GE(ids[i], 0);
-    CHECK_LT(static_cast<size_t>(ids[i]), vocab);
-    std::memcpy(out.data() + i * d, tp + static_cast<size_t>(ids[i]) * d,
-                d * sizeof(float));
-  }
-  auto ids_copy = std::make_shared<std::vector<int>>(ids);
-  return Tensor::MakeOpResult(
-      {ids.size(), d}, std::move(out), {table},
-      [table, ids_copy, d](TensorImpl* result) {
-        result->backward_fn = [table, ids_copy, d, result]() {
-          if (!table.requires_grad()) return;
-          float* tg = table.impl()->MutableGrad();
-          const float* g = result->grad.data();
-          for (size_t i = 0; i < ids_copy->size(); ++i) {
-            float* row = tg + static_cast<size_t>((*ids_copy)[i]) * d;
-            const float* gr = g + i * d;
-            for (size_t c = 0; c < d; ++c) row[c] += gr[c];
-          }
-        };
-      });
-}
-
 Tensor GatherRows(const Tensor& a, const std::vector<int>& rows) {
   CHECK_EQ(a.rank(), size_t{2});
   CHECK(!rows.empty());
@@ -699,21 +626,6 @@ Tensor SliceRows(const Tensor& a, size_t start, size_t count) {
           const float* g = result->grad.data();
           float* ag = a.impl()->MutableGrad();
           for (size_t i = 0; i < n; ++i) ag[offset + i] += g[i];
-        };
-      });
-}
-
-Tensor MeanAll(const Tensor& a) {
-  float sum = 0.0f;
-  for (float v : a.vec()) sum += v;
-  float inv = 1.0f / static_cast<float>(a.size());
-  return Tensor::MakeOpResult(
-      {1}, {sum * inv}, {a}, [a, inv](TensorImpl* result) {
-        result->backward_fn = [a, inv, result]() {
-          if (!a.requires_grad()) return;
-          float g = result->grad[0] * inv;
-          float* ag = a.impl()->MutableGrad();
-          for (size_t i = 0; i < a.size(); ++i) ag[i] += g;
         };
       });
 }
@@ -839,39 +751,97 @@ Tensor CausalSelfAttention(const Tensor& q, const Tensor& k, const Tensor& v,
                            size_t num_heads, size_t prefix_len) {
   CHECK_EQ(q.rank(), size_t{2});
   CHECK_EQ(k.rank(), size_t{2});
-  CHECK_EQ(v.rank(), size_t{2});
-  size_t tq = q.dim(0), d = q.dim(1);
-  size_t tk = k.dim(0);
-  CHECK_EQ(k.dim(1), d);
-  CHECK_EQ(v.dim(1), d);
-  CHECK_EQ(tk, prefix_len + tq)
+  CHECK_EQ(k.dim(0), prefix_len + q.dim(0))
       << "key length must be prefix_len + query length";
+  return CausalSelfAttentionRagged(q, {k}, {v}, {q.dim(0)}, num_heads);
+}
+
+Tensor CausalSelfAttentionRagged(const Tensor& q,
+                                 const std::vector<Tensor>& keys,
+                                 const std::vector<Tensor>& values,
+                                 const std::vector<size_t>& row_lens,
+                                 size_t num_heads) {
+  CHECK_EQ(q.rank(), size_t{2});
+  CHECK_EQ(keys.size(), row_lens.size());
+  CHECK_EQ(values.size(), row_lens.size());
+  size_t d = q.dim(1);
   CHECK_GT(num_heads, size_t{0});
   CHECK_EQ(d % num_heads, size_t{0});
   size_t dh = d / num_heads;
   float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  Metrics().attention_ops->Increment();
-  Metrics().attention_flops->Increment(4 * tq * tk * d);
 
-  // attn holds the per-head post-softmax matrices, [H][Tq][Tk] flattened.
-  auto attn = std::make_shared<std::vector<float>>(num_heads * tq * tk, 0.0f);
-  std::vector<float> out(tq * d, 0.0f);
-  const float* qp = q.data();
-  const float* kp = k.data();
-  const float* vp = v.data();
+  std::vector<size_t> row_offsets(row_lens.size());
+  size_t total = 0;
+  size_t total_work = 0;
+  bool inputs_need_grad = q.requires_grad();
+  for (size_t r = 0; r < row_lens.size(); ++r) {
+    CHECK_GT(row_lens[r], size_t{0});
+    CHECK_EQ(keys[r].rank(), size_t{2});
+    CHECK_EQ(values[r].rank(), size_t{2});
+    CHECK_EQ(keys[r].dim(1), d);
+    CHECK_EQ(values[r].dim(1), d);
+    CHECK_GE(keys[r].dim(0), row_lens[r])
+        << "key rows must cover the row's new tokens";
+    CHECK_EQ(keys[r].dim(0), values[r].dim(0));
+    inputs_need_grad = inputs_need_grad || keys[r].requires_grad() ||
+                       values[r].requires_grad();
+    row_offsets[r] = total;
+    total += row_lens[r];
+    size_t work = 4 * row_lens[r] * keys[r].dim(0) * d;
+    Metrics().attention_ops->Increment();
+    Metrics().attention_flops->Increment(work);
+    total_work += work;
+  }
+  CHECK_EQ(q.dim(0), total);
 
-  util::ParallelFor(num_heads, 1, [&](size_t hbegin, size_t hend) {
-    for (size_t h = hbegin; h < hend; ++h) {
+  // Only a recorded graph keeps the probabilities: the backward reads them
+  // from attn, [H][Tq][Tk] flattened with masked entries exactly zero.
+  // Without one, each worker scores into a scratch row.
+  bool record = GradEnabled() && inputs_need_grad;
+  std::shared_ptr<std::vector<float>> attn;
+  if (record) {
+    CHECK_EQ(row_lens.size(), size_t{1})
+        << "attention records a graph for one row only";
+    attn = std::make_shared<std::vector<float>>(
+        num_heads * total * keys[0].dim(0), 0.0f);
+  }
+
+  // Work items are (row, head) pairs with disjoint output blocks, so how
+  // they are split across threads never changes a row's result.
+  std::vector<float> out(total * d, 0.0f);
+  auto attend_pairs = [&](size_t begin, size_t end) {
+    std::vector<float> scratch;
+    for (size_t pair = begin; pair < end; ++pair) {
+      size_t r = pair / num_heads;
+      size_t h = pair % num_heads;
       size_t off = h * dh;
-      float* ah = attn->data() + h * tq * tk;
+      size_t tq = row_lens[r];
+      size_t tk = keys[r].dim(0);
+      if (!record) scratch.resize(tk);
+      const float* qp = q.data() + row_offsets[r] * d + off;
+      float* op = out.data() + row_offsets[r] * d + off;
       for (size_t i = 0; i < tq; ++i) {
-        AttendQueryRow(qp + i * d + off, kp + off, vp + off, d, dh,
-                       prefix_len + i + 1, scale, ah + i * tk,
-                       out.data() + i * d + off);
+        float* arow =
+            record ? attn->data() + (h * tq + i) * tk : scratch.data();
+        AttendQueryRow(qp + i * d, keys[r].data() + off,
+                       values[r].data() + off, d, dh, tk - tq + i + 1, scale,
+                       arow, op + i * d);
       }
     }
-  });
+  };
+  size_t pairs = row_lens.size() * num_heads;
+  if (total_work < kAttentionParallelMinWork) {
+    attend_pairs(0, pairs);
+  } else {
+    util::ParallelFor(pairs, 1, attend_pairs);
+  }
+  if (!record) return Tensor::FromData({total, d}, std::move(out));
 
+  const Tensor& k = keys[0];
+  const Tensor& v = values[0];
+  size_t tq = total;
+  size_t tk = k.dim(0);
+  size_t prefix_len = tk - tq;
   return Tensor::MakeOpResult(
       {tq, d}, std::move(out), {q, k, v},
       [q, k, v, num_heads, prefix_len, tq, tk, d, dh, scale,
@@ -935,73 +905,6 @@ Tensor CausalSelfAttention(const Tensor& q, const Tensor& k, const Tensor& v,
           });
         };
       });
-}
-
-Tensor CausalSelfAttentionRagged(const Tensor& q,
-                                 const std::vector<Tensor>& keys,
-                                 const std::vector<Tensor>& values,
-                                 const std::vector<size_t>& row_lens,
-                                 size_t num_heads) {
-  CHECK(!GradEnabled())
-      << "CausalSelfAttentionRagged is inference-only (no backward)";
-  CHECK_EQ(q.rank(), size_t{2});
-  CHECK_EQ(keys.size(), row_lens.size());
-  CHECK_EQ(values.size(), row_lens.size());
-  size_t d = q.dim(1);
-  CHECK_GT(num_heads, size_t{0});
-  CHECK_EQ(d % num_heads, size_t{0});
-  size_t dh = d / num_heads;
-  float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-
-  std::vector<size_t> row_offsets(row_lens.size());
-  size_t total = 0;
-  for (size_t r = 0; r < row_lens.size(); ++r) {
-    CHECK_GT(row_lens[r], size_t{0});
-    CHECK_EQ(keys[r].dim(1), d);
-    CHECK_EQ(values[r].dim(1), d);
-    CHECK_GE(keys[r].dim(0), row_lens[r])
-        << "key rows must cover the row's new tokens";
-    CHECK_EQ(keys[r].dim(0), values[r].dim(0));
-    row_offsets[r] = total;
-    total += row_lens[r];
-  }
-  CHECK_EQ(q.dim(0), total);
-
-  size_t total_work = 0;
-  for (size_t r = 0; r < row_lens.size(); ++r) {
-    size_t work = 4 * row_lens[r] * keys[r].dim(0) * d;
-    Metrics().attention_ops->Increment();
-    Metrics().attention_flops->Increment(work);
-    total_work += work;
-  }
-
-  // Work items are (row, head) pairs with disjoint output blocks, so how
-  // they are split across threads never changes a row's result.
-  std::vector<float> out(total * d, 0.0f);
-  auto attend_pairs = [&](size_t begin, size_t end) {
-    std::vector<float> arow;
-    for (size_t pair = begin; pair < end; ++pair) {
-      size_t r = pair / num_heads;
-      size_t off = (pair % num_heads) * dh;
-      size_t tq = row_lens[r];
-      size_t tk = keys[r].dim(0);
-      arow.resize(tk);
-      const float* qp = q.data() + row_offsets[r] * d + off;
-      float* op = out.data() + row_offsets[r] * d + off;
-      for (size_t i = 0; i < tq; ++i) {
-        AttendQueryRow(qp + i * d, keys[r].data() + off,
-                       values[r].data() + off, d, dh, tk - tq + i + 1, scale,
-                       arow.data(), op + i * d);
-      }
-    }
-  };
-  size_t pairs = row_lens.size() * num_heads;
-  if (total_work < kAttentionParallelMinWork) {
-    attend_pairs(0, pairs);
-  } else {
-    util::ParallelFor(pairs, 1, attend_pairs);
-  }
-  return Tensor::FromData({total, d}, std::move(out));
 }
 
 }  // namespace infuserki::tensor

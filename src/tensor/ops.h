@@ -18,14 +18,8 @@ namespace infuserki::tensor {
 /// Elementwise a + b.
 Tensor Add(const Tensor& a, const Tensor& b);
 
-/// Elementwise a - b.
-Tensor Sub(const Tensor& a, const Tensor& b);
-
 /// Elementwise (Hadamard) a * b.
 Tensor Mul(const Tensor& a, const Tensor& b);
-
-/// a + s elementwise.
-Tensor AddScalar(const Tensor& a, float s);
 
 /// a * s elementwise.
 Tensor MulScalar(const Tensor& a, float s);
@@ -62,11 +56,9 @@ Tensor RmsNorm(const Tensor& x, const Tensor& weight, float eps = 1e-5f);
 
 // -- Indexing --------------------------------------------------------------
 
-/// Gathers rows `ids` of `table` [V, D] -> [ids.size(), D]. Backward
-/// scatter-adds into the table rows.
-Tensor EmbeddingLookup(const Tensor& table, const std::vector<int>& ids);
-
-/// Selects rows of a 2-D tensor -> [rows.size(), D].
+/// Selects rows of a 2-D tensor -> [rows.size(), D]; rows may repeat.
+/// Backward scatter-adds into the selected rows. This is the embedding
+/// lookup (tensor::Embedding).
 Tensor GatherRows(const Tensor& a, const std::vector<int>& rows);
 
 /// Concatenates two 1-D tensors.
@@ -82,9 +74,6 @@ Tensor ConcatRows(const Tensor& a, const Tensor& b);
 Tensor SliceRows(const Tensor& a, size_t start, size_t count);
 
 // -- Reductions ------------------------------------------------------------
-
-/// Mean of all elements -> scalar.
-Tensor MeanAll(const Tensor& a);
 
 /// Sum of all elements -> scalar.
 Tensor SumAll(const Tensor& a);
@@ -105,28 +94,30 @@ Tensor BceWithLogits(const Tensor& logits, const std::vector<float>& targets);
 
 // -- Attention -------------------------------------------------------------
 
-/// Fused causal multi-head self-attention.
+/// Fused causal multi-head self-attention over one sequence: the one-row
+/// case of CausalSelfAttentionRagged.
 ///
 /// q has shape [Tq, D]; k and v have shape [Tk, D] with
 /// Tk == prefix_len + Tq. The first `prefix_len` key/value rows form an
-/// always-visible prefix (used by prefix tuning); beyond the prefix the mask
-/// is causal: query i attends to keys j with j < prefix_len + i + 1.
-/// `num_heads` must divide D.
+/// always-visible prefix (prefix tuning, or a row's cached positions);
+/// beyond the prefix the mask is causal: query i attends to keys j with
+/// j < prefix_len + i + 1. `num_heads` must divide D.
 Tensor CausalSelfAttention(const Tensor& q, const Tensor& k, const Tensor& v,
                            size_t num_heads, size_t prefix_len = 0);
 
-/// Ragged batched causal attention (DESIGN.md §11): one kernel call for a
-/// whole batch of independent sequences. `q` packs every row's query chunk
-/// as [sum(row_lens), D]; `keys[r]` / `values[r]` hold row r's FULL key /
-/// value rows (cached prefix followed by the row's new rows, shape
-/// [prefix_r + row_lens[r], D]). Each output row block is computed with
-/// arithmetic identical to CausalSelfAttention(q_r, keys[r], values[r],
-/// num_heads, prefix_r) — same scan order, same softmax — so the packed
-/// result is, row for row, bit-identical to per-sequence kernel calls.
-/// (row, head) pairs fan out over the global thread pool once the call's
-/// multiply-adds pass a fixed threshold; smaller calls run inline.
-/// Inference-only: requires grad recording to be off (no backward pass is
-/// defined).
+/// Ragged batched causal attention (DESIGN.md §11), the one attention
+/// kernel: one call for a whole batch of independent sequences. `q` packs
+/// every row's query chunk as [sum(row_lens), D]; `keys[r]` / `values[r]`
+/// hold row r's FULL key / value rows (always-visible prefix followed by
+/// the row's new rows, shape [prefix_r + row_lens[r], D]). Each row is
+/// computed alone, so the packed result is, row for row, bit-identical to
+/// one-row calls. (row, head) pairs fan out over the global thread pool
+/// once the call's multiply-adds pass a fixed threshold; smaller calls run
+/// inline.
+///
+/// A graph is recorded (grad mode on and an input requires grad) for a
+/// one-row call only; its backward reads the softmax probabilities kept
+/// as [H][Tq][Tk]. Without a graph no probability buffer is kept.
 Tensor CausalSelfAttentionRagged(const Tensor& q,
                                  const std::vector<Tensor>& keys,
                                  const std::vector<Tensor>& values,

@@ -43,7 +43,8 @@ std::string ToLower(std::string_view text) {
 std::string Trim(std::string_view text) {
   size_t begin = 0;
   size_t end = text.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(text[begin]))) {
+  while (begin < end &&
+         std::isspace(static_cast<unsigned char>(text[begin]))) {
     ++begin;
   }
   while (end > begin &&

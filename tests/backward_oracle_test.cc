@@ -1,10 +1,10 @@
 // Bit-exact differential tests of the training backward against the loops it
 // replaced: CausalSelfAttention (forward output, softmax probabilities and
-// dQ/dK/dV) against tests/attention_reference.h, the Add/Sub/Mul broadcast
+// dQ/dK/dV) against tests/attention_reference.h, the Add/Mul broadcast
 // gradients against per-element `i % bn` loops, and Silu's gradient against
-// the formula that recomputes its sigmoid. Everything is compared with
-// memcmp, at thread-pool widths 4 and 1 (DESIGN.md §7, "Backward
-// contract").
+// the formula that recomputes its sigmoid. A packed ragged attention call
+// is checked against one-row calls. Everything is compared with memcmp, at
+// thread-pool widths 4 and 1 (DESIGN.md §7, "Backward contract").
 
 #include <gtest/gtest.h>
 
@@ -208,7 +208,93 @@ TEST(AttentionOracle, SharedOperandMatchesReference) {
   }
 }
 
-enum class BinaryOp { kAdd, kSub, kMul };
+// One row of a ragged attention batch: a query chunk of `tq` rows whose
+// keys are `prefix_len` always-visible rows followed by the chunk's own.
+struct RaggedRow {
+  size_t tq, prefix_len;
+};
+
+// CausalSelfAttentionRagged's fan-out threshold in multiply-adds
+// (kAttentionParallelMinWork in ops.cc). The batches below sit on either
+// side of it.
+constexpr size_t kFanOutMinWork = size_t{1} << 15;
+
+// Packs `rows` into one CausalSelfAttentionRagged call under NoGradGuard
+// with inputs that require grad, and checks that it records no graph and
+// that each row's output block is memcmp-equal to a one-row
+// CausalSelfAttention call, with grad mode on (a recorded graph) and off.
+void ExpectPackedMatchesOneRowCalls(const std::vector<RaggedRow>& rows,
+                                    size_t dh, bool above_fan_out,
+                                    uint64_t seed) {
+  size_t d = dh * kHeads;
+  util::Rng rng(seed);
+  std::vector<float> packed_q;
+  std::vector<Tensor> qs, keys, values;
+  std::vector<size_t> row_lens;
+  size_t work = 0;
+  for (const RaggedRow& row : rows) {
+    size_t tk = row.prefix_len + row.tq;
+    std::vector<float> q = Normals(row.tq * d, &rng);
+    packed_q.insert(packed_q.end(), q.begin(), q.end());
+    qs.push_back(Tensor::FromData({row.tq, d}, q, true));
+    keys.push_back(Tensor::FromData({tk, d}, Normals(tk * d, &rng), true));
+    values.push_back(Tensor::FromData({tk, d}, Normals(tk * d, &rng), true));
+    row_lens.push_back(row.tq);
+    work += 4 * row.tq * tk * d;
+  }
+  std::string what = "dh=" + std::to_string(dh) + " rows=" +
+                     std::to_string(rows.size()) +
+                     " work=" + std::to_string(work);
+  ASSERT_EQ(work >= kFanOutMinWork, above_fan_out) << what;
+  Tensor q = Tensor::FromData({packed_q.size() / d, d}, packed_q, true);
+  Tensor packed;
+  {
+    NoGradGuard no_grad;
+    packed = CausalSelfAttentionRagged(q, keys, values, row_lens, kHeads);
+  }
+  EXPECT_FALSE(packed.requires_grad()) << what;
+  size_t offset = 0;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    Tensor recorded = CausalSelfAttention(qs[r], keys[r], values[r], kHeads,
+                                          rows[r].prefix_len);
+    EXPECT_TRUE(recorded.requires_grad()) << what;
+    Tensor bare;
+    {
+      NoGradGuard no_grad;
+      bare = CausalSelfAttention(qs[r], keys[r], values[r], kHeads,
+                                 rows[r].prefix_len);
+    }
+    EXPECT_FALSE(bare.requires_grad()) << what;
+    EXPECT_TRUE(SameBits(bare.vec(), recorded.vec())) << what << " r=" << r;
+    std::vector<float> block(packed.vec().begin() + offset * d,
+                             packed.vec().begin() + (offset + rows[r].tq) * d);
+    EXPECT_TRUE(SameBits(block, recorded.vec())) << what << " r=" << r;
+    offset += rows[r].tq;
+  }
+}
+
+// Prefix lengths 0, 1 and T-1 in both batches.
+void ExpectRaggedBatchesMatch() {
+  const std::vector<RaggedRow> small = {{1, 0}, {2, 1}, {3, 2}, {2, 0}};
+  const std::vector<RaggedRow> large = {
+      {24, 0}, {24, 1}, {24, 23}, {1, 0}, {5, 4}};
+  uint64_t seed = 1100;
+  for (size_t dh : {1, 3, 16, 17}) {
+    ExpectPackedMatchesOneRowCalls(small, dh, false, seed++);
+    ExpectPackedMatchesOneRowCalls(large, dh, true, seed++);
+  }
+}
+
+TEST(RaggedAttention, PackedRowsMatchOneRowCallsAtPoolWidthFour) {
+  ASSERT_EQ(util::GlobalThreadPool().num_threads(), 4u);
+  ExpectRaggedBatchesMatch();
+}
+
+TEST(RaggedAttention, PackedRowsMatchOneRowCallsAtPoolWidthOne) {
+  OnPoolWorker(ExpectRaggedBatchesMatch);
+}
+
+enum class BinaryOp { kAdd, kMul };
 
 // The broadcast gradients as per-element loops over `i % bn`.
 void BroadcastReference(BinaryOp op, const std::vector<float>& a,
@@ -223,10 +309,6 @@ void BroadcastReference(BinaryOp op, const std::vector<float>& a,
       case BinaryOp::kAdd:
         (*ag)[i] += g[i];
         (*bg)[i % bn] += g[i];
-        break;
-      case BinaryOp::kSub:
-        (*ag)[i] += g[i];
-        (*bg)[i % bn] -= g[i];
         break;
       case BinaryOp::kMul:
         (*ag)[i] += g[i] * b[i % bn];
@@ -247,16 +329,14 @@ void ExpectBroadcastGradientsMatch() {
   };
   uint64_t seed = 1000;
   for (const Shapes& s : shapes) {
-    for (BinaryOp op : {BinaryOp::kAdd, BinaryOp::kSub, BinaryOp::kMul}) {
+    for (BinaryOp op : {BinaryOp::kAdd, BinaryOp::kMul}) {
       util::Rng rng(seed++);
       std::vector<float> a = Normals(NumElements(s.a), &rng);
       std::vector<float> b = Normals(NumElements(s.b), &rng);
       std::vector<float> g = Normals(a.size(), &rng);
       Tensor ta = Tensor::FromData(s.a, a, true);
       Tensor tb = Tensor::FromData(s.b, b, true);
-      Tensor y = op == BinaryOp::kAdd   ? Add(ta, tb)
-                 : op == BinaryOp::kSub ? Sub(ta, tb)
-                                        : Mul(ta, tb);
+      Tensor y = op == BinaryOp::kAdd ? Add(ta, tb) : Mul(ta, tb);
       BackwardWith(y, g);
       std::vector<float> ag, bg;
       BroadcastReference(op, a, b, g, &ag, &bg);

@@ -166,7 +166,8 @@ TEST(DurabilityFuzz, CorruptCacheQuarantinesAndRetrains) {
 }
 
 TEST(DurabilityFuzz, KgTsvRejectsAllCorruption) {
-  kg::KnowledgeGraph graph = kg::SyntheticUmls({.num_triplets = 30, .seed = 9});
+  kg::KnowledgeGraph graph =
+      kg::SyntheticUmls({.num_triplets = 30, .seed = 9});
   std::string path = ::testing::TempDir() + "/kg_fuzz.tsv";
   ASSERT_TRUE(kg::SaveTsv(graph, path).ok());
 
@@ -345,7 +346,9 @@ TEST(FaultRegistry, ProbabilisticStreamIsDeterministic) {
     faults.Clear();
     EXPECT_TRUE(faults.Configure("test/prob=prob:0.5:1234").ok());
     std::vector<bool> pattern;
-    for (int i = 0; i < 32; ++i) pattern.push_back(faults.Hit("test/prob").ok());
+    for (int i = 0; i < 32; ++i) {
+      pattern.push_back(faults.Hit("test/prob").ok());
+    }
     return pattern;
   };
   std::vector<bool> first = draw_pattern();
@@ -450,7 +453,8 @@ TEST(RetryWithBackoff, BoundedOptionsNeverOversleepTheTighterBound) {
   // own deadline lands in 60 ms; the merged options must cut off there.
   util::RetryOptions options{
       .max_attempts = 50, .base_delay_ms = 40, .multiplier = 1.0};
-  options.deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  options.deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
   const auto request_deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(60);
   const auto start = std::chrono::steady_clock::now();

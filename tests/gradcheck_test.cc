@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "tensor/nn.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "tests/gradcheck.h"
@@ -35,16 +36,16 @@ TEST(GradCheck, AddBroadcastScalar) {
   ExpectGradientsMatch([&] { return SumAll(Mul(Add(a, s), a)); }, {a, s});
 }
 
-TEST(GradCheck, SubAndMul) {
+TEST(GradCheck, Mul) {
   Tensor a = RandInput({2, 5}, 7);
   Tensor b = RandInput({2, 5}, 8);
-  ExpectGradientsMatch([&] { return SumAll(Mul(Sub(a, b), b)); }, {a, b});
+  ExpectGradientsMatch([&] { return SumAll(Mul(Mul(a, b), b)); }, {a, b});
 }
 
-TEST(GradCheck, MulScalarAndAddScalar) {
+TEST(GradCheck, MulScalar) {
   Tensor a = RandInput({6}, 9);
   ExpectGradientsMatch(
-      [&] { return SumAll(MulScalar(AddScalar(a, 1.5f), -2.0f)); }, {a});
+      [&] { return SumAll(Mul(MulScalar(a, -2.0f), a)); }, {a});
 }
 
 TEST(GradCheck, Matmul) {
@@ -57,7 +58,7 @@ TEST(GradCheck, Matmul) {
 TEST(GradCheck, MatmulNT) {
   Tensor a = RandInput({3, 4}, 12);
   Tensor b = RandInput({5, 4}, 13);
-  ExpectGradientsMatch([&] { return MeanAll(MatmulNT(a, b)); }, {a, b});
+  ExpectGradientsMatch([&] { return SumAll(MatmulNT(a, b)); }, {a, b});
 }
 
 TEST(GradCheck, Transpose) {
@@ -111,15 +112,16 @@ TEST(GradCheck, RmsNorm) {
                        {x, w});
 }
 
-TEST(GradCheck, EmbeddingLookup) {
-  Tensor table = RandInput({7, 4}, 27);
+TEST(GradCheck, EmbeddingForward) {
+  util::Rng rng(27);
+  Embedding embedding(7, 4, &rng, /*init_stddev=*/1.0f);
   std::vector<int> ids = {2, 5, 2, 0};
   ExpectGradientsMatch(
       [&] {
-        Tensor rows = EmbeddingLookup(table, ids);
+        Tensor rows = embedding.Forward(ids);
         return SumAll(Mul(rows, rows));
       },
-      {table});
+      {embedding.table()});
 }
 
 TEST(GradCheck, GatherRows) {
@@ -157,7 +159,6 @@ TEST(GradCheck, ConcatRows) {
 
 TEST(GradCheck, MeanReductions) {
   Tensor a = RandInput({4, 3}, 33);
-  ExpectGradientsMatch([&] { return MeanAll(Mul(a, a)); }, {a});
   ExpectGradientsMatch(
       [&] {
         Tensor m = MeanAxis0(a);

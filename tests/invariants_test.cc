@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include "tensor/nn.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace infuserki {
@@ -41,8 +43,10 @@ TEST(TensorDeath, SetRequiresGradOnOpResultAborts) {
 }
 
 TEST(TensorDeath, EmbeddingOutOfRangeAborts) {
-  Tensor table = Tensor::Zeros({3, 2});
-  EXPECT_DEATH((void)tensor::EmbeddingLookup(table, {5}), "");
+  util::Rng rng(1);
+  tensor::Embedding embedding(3, 2, &rng);
+  EXPECT_DEATH((void)embedding.Forward({5}), "");
+  EXPECT_DEATH((void)embedding.Forward({-1}), "");
 }
 
 TEST(TensorDeath, AttentionBadKeyLengthAborts) {

@@ -65,9 +65,9 @@ class ServeFixture : public ::testing::Test {
   void SetUp() override { util::FaultRegistry::Get().Clear(); }
   void TearDown() override { util::FaultRegistry::Get().Clear(); }
 
-  static std::vector<int> Reference(const std::string& prompt,
-                                    size_t max_new,
-                                    const model::ForwardOptions& forward = {}) {
+  static std::vector<int> Reference(
+      const std::string& prompt, size_t max_new,
+      const model::ForwardOptions& forward = {}) {
     return model::GreedyDecode(
         *lm_, tokenizer_->EncodeWithSpecials(prompt, false), max_new,
         forward);
@@ -93,8 +93,9 @@ class ServeFixture : public ::testing::Test {
       }
     }
     if (prompts.size() < count) {
-      ADD_FAILURE() << "only " << prompts.size() << " candidate prompts decode "
-                    << min_tokens << " tokens; " << count << " wanted";
+      ADD_FAILURE() << "only " << prompts.size()
+                    << " candidate prompts decode " << min_tokens
+                    << " tokens; " << count << " wanted";
     }
     return prompts;
   }
@@ -967,8 +968,9 @@ TEST(ValidateServeOptionsTest, AcceptsDefaultsRejectsEachBadKnob) {
                  "max_batch_tokens");
   expect_invalid([](ServeOptions& o) { o.queue_capacity = 0; },
                  "queue_capacity");
-  expect_invalid([](ServeOptions& o) { o.default_deadline = milliseconds(-1); },
-                 "default_deadline");
+  expect_invalid(
+      [](ServeOptions& o) { o.default_deadline = milliseconds(-1); },
+      "default_deadline");
   expect_invalid([](ServeOptions& o) { o.drain_deadline = milliseconds(-1); },
                  "drain_deadline");
   expect_invalid([](ServeOptions& o) { o.retry.max_attempts = 0; },
@@ -979,8 +981,9 @@ TEST(ValidateServeOptionsTest, AcceptsDefaultsRejectsEachBadKnob) {
                  "retry.multiplier");
   expect_invalid([](ServeOptions& o) { o.admission.quantum = 0.0; },
                  "admission.quantum");
-  expect_invalid([](ServeOptions& o) { o.admission.default_policy.weight = 0; },
-                 "default weight");
+  expect_invalid(
+      [](ServeOptions& o) { o.admission.default_policy.weight = 0; },
+      "default weight");
   expect_invalid(
       [](ServeOptions& o) { o.admission.tenants["t"].rate_qps = -1.0; },
       "tenant rate_qps");
@@ -998,8 +1001,9 @@ TEST(ValidateServeOptionsTest, AcceptsDefaultsRejectsEachBadKnob) {
                  "brownout retry_after_s");
   expect_invalid([](ServeOptions& o) { o.feasibility_margin = -1.0; },
                  "feasibility_margin");
-  expect_invalid([](ServeOptions& o) { o.watchdog_interval = milliseconds(0); },
-                 "watchdog_interval");
+  expect_invalid(
+      [](ServeOptions& o) { o.watchdog_interval = milliseconds(0); },
+      "watchdog_interval");
   expect_invalid(
       [](ServeOptions& o) { o.watchdog_stall_timeout = milliseconds(-1); },
       "watchdog_stall_timeout");

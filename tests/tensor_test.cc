@@ -171,9 +171,9 @@ TEST(Ops, BceWithLogitsKnownValue) {
   EXPECT_NEAR(loss.item(), std::log(2.0f), 1e-5f);
 }
 
-TEST(Ops, EmbeddingLookupRows) {
+TEST(Ops, GatherRowsValues) {
   Tensor table = Tensor::FromData({3, 2}, {1, 2, 3, 4, 5, 6});
-  Tensor rows = EmbeddingLookup(table, {2, 0});
+  Tensor rows = GatherRows(table, {2, 0});
   EXPECT_FLOAT_EQ(rows.at(0, 0), 5.0f);
   EXPECT_FLOAT_EQ(rows.at(1, 1), 2.0f);
 }

@@ -55,6 +55,11 @@ they are about *this* repo's conventions:
   lock-order    Every lock named in the DESIGN.md §13 lock table must
                 exist in src/ under the same class/member names, so the
                 documented lock hierarchy cannot drift from the code.
+  column-limit  No line in src/, tests/, bench/ or examples/ is longer than
+                .clang-format's ColumnLimit (79), counted in Unicode code
+                points as clang-format counts them, so an em-dash is one
+                column. The clang-format step is skipped on hosts without
+                it; this rule runs wherever ctest does.
 
 Exit status: 0 when the tree is clean, 1 when any violation is found,
 2 on usage errors. Each violation prints as `file:line: [rule] message`.
@@ -501,6 +506,24 @@ def check_lock_order(root, design_text, violations):
                 "has drifted from the code (update the table or the code)"))
 
 
+# .clang-format's ColumnLimit, over the trees the clang-format step checks.
+COLUMN_LIMIT = 79
+FORMAT_DIRS = ("src", "tests", "bench", "examples")
+
+
+def check_column_limit(root, violations):
+    for path in iter_code_files(root, FORMAT_DIRS):
+        rel = path.relative_to(root).as_posix()
+        lines = path.read_text(encoding="utf-8").split("\n")
+        for i, line in enumerate(lines, 1):
+            if len(line) > COLUMN_LIMIT:
+                violations.append(Violation(
+                    rel, i, "column-limit",
+                    f"{len(line)} columns (code points) exceed "
+                    f".clang-format's ColumnLimit of {COLUMN_LIMIT}; wrap "
+                    "the line"))
+
+
 RULES = {
     "raw-io": lambda root, design, v: check_raw_io(root, v),
     "fault-points": check_fault_points,
@@ -513,6 +536,7 @@ RULES = {
     "raw-mutex": lambda root, design, v: check_raw_mutex(root, v),
     "mutex-guards": lambda root, design, v: check_mutex_guards(root, v),
     "lock-order": check_lock_order,
+    "column-limit": lambda root, design, v: check_column_limit(root, v),
 }
 
 

@@ -32,6 +32,7 @@ EXPECTED_VIOLATIONS = {
     "mutex_raw": ("raw-mutex", "raw std::mutex-family primitive"),
     "mutex_unguarded": ("mutex-guards", '"mu_" has no GUARDED_BY'),
     "lock_order_drift": ("lock-order", '"Ghost::mu_"'),
+    "column_limit": ("column-limit", "wide.cc:7: [column-limit] 80 columns"),
 }
 
 

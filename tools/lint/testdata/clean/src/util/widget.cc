@@ -4,6 +4,7 @@
 #include "util/atomic_file.h"
 #include "util/fault.h"
 
+// 79 code points, over 79 bytes: ———————————————————— zzzzzzzzzzzzzzzzzzzzzzzz
 int Widget() {
   infuserki::obs::Registry::Get().GetCounter("widget/turns")->Increment();
   infuserki::util::AtomicFileWriter writer("/tmp/w", "widget/save");
