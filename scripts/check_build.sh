@@ -164,17 +164,17 @@ if failures:
 EOF
 echo "GEMM floors OK"
 
-echo "== durability: ASan+UBSan serialize/checkpoint/fault/string tests =="
+echo "== ASan+UBSan: serialize/checkpoint/fault/string and training tests =="
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DINFUSERKI_SANITIZE=address
 cmake --build "$ASAN_DIR" -j --target durability_test train_state_test \
-  util_test kg_test tokenizer_test
+  util_test kg_test tokenizer_test trainer_test baselines_test
 for asan_test in durability_test train_state_test util_test kg_test \
-                 tokenizer_test; do
+                 tokenizer_test trainer_test baselines_test; do
   "$ASAN_DIR/tests/$asan_test"
 done
-echo "sanitized durability and string tests OK"
+echo "sanitized durability, string and training tests OK"
 
 echo "== durability smoke: injected crash + resume (${SMOKE_DIR}) =="
 RESUME_DIR="${TMPDIR:-/tmp}/check_build_resume"

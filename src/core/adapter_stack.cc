@@ -31,8 +31,7 @@ KnowledgeAdapterStack::KnowledgeAdapterStack(
     std::fill(slot.up->weight().impl()->data.begin(),
               slot.up->weight().impl()->data.end(), 0.0f);
     slot.infuser = std::make_unique<tensor::Mlp>(
-        model_dim, options.infuser_hidden, 1, &rng,
-        tensor::Mlp::Activation::kTanh);
+        model_dim, options.infuser_hidden, 1, &rng);
     // Default-closed gate: a layer whose internal state cannot separate
     // known from unknown should rest near r = 0 (no interference), not at
     // the sigmoid midpoint. Phase-1 training opens separable layers.

@@ -1,6 +1,7 @@
 #include "core/infuserki.h"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 
 #include "model/trainer.h"
@@ -29,6 +30,51 @@ int FindSubsequence(const std::vector<int>& haystack,
   }
   return -1;
 }
+
+namespace {
+
+/// The mini-batch epoch loop of the Infuser and RC phases. Each epoch
+/// reshuffles the previous epoch's item order in place; every item's loss
+/// is scaled by 1/batch_size (a short final batch too), and each batch ends
+/// with a clip to norm 1, an AdamW step and a gradient reset. Returns the
+/// last epoch's mean batch loss. It stays off LmTrainer on purpose: that
+/// trainer cycles one order across epochs and scales by the actual batch
+/// size, which would change the trained bits, and it records the trainer/*
+/// counters that the benchmark reads as the QA phase's work.
+float TrainItemEpochs(size_t num_items, size_t epochs, size_t batch_size,
+                      std::vector<Tensor> params, float lr, util::Rng* rng,
+                      const std::function<Tensor(size_t)>& item_loss) {
+  CHECK_GT(num_items, size_t{0});
+  tensor::AdamW optimizer(std::move(params),
+                          {.lr = lr, .weight_decay = 0.0f});
+  std::vector<size_t> order(num_items);
+  std::iota(order.begin(), order.end(), 0);
+  size_t steps_per_epoch = (num_items + batch_size - 1) / batch_size;
+  float inv = 1.0f / static_cast<float>(batch_size);
+  double last_epoch_loss = 0.0;
+  for (size_t epoch = 0; epoch < epochs; ++epoch) {
+    rng->Shuffle(&order);
+    size_t cursor = 0;
+    double epoch_loss = 0.0;
+    for (size_t step = 0; step < steps_per_epoch; ++step) {
+      size_t batch = 0;
+      double batch_loss = 0.0;
+      for (; batch < batch_size && cursor < num_items; ++batch, ++cursor) {
+        Tensor loss = item_loss(order[cursor]);
+        batch_loss += loss.item();
+        tensor::MulScalar(loss, inv).Backward();
+      }
+      tensor::ClipGradNorm(optimizer.params(), 1.0f);
+      optimizer.Step();
+      optimizer.ZeroGrad();
+      epoch_loss += batch_loss / static_cast<double>(batch);
+    }
+    last_epoch_loss = epoch_loss / static_cast<double>(steps_per_epoch);
+  }
+  return static_cast<float>(last_epoch_loss);
+}
+
+}  // namespace
 
 InfuserKi::InfuserKi(model::TransformerLM* lm,
                      const InfuserKiOptions& options)
@@ -60,22 +106,24 @@ void InfuserKi::Train(const KiTrainData& data) {
   CHECK(data.kg != nullptr);
   obs::ScopedSpan span("method/" + name() + "/train");
   util::Stopwatch watch;
+  float infuser_loss = 0.0f;
   if (options_.infuser_pretrain && options_.adapters.use_infuser) {
-    TrainInfuser(data);
+    infuser_loss = TrainInfuser(data);
   }
   double infuser_seconds = watch.Lap();
-  TrainQa(data);
+  float qa_loss = TrainQa(data);
   double qa_seconds = watch.Lap();
+  float rc_loss = 0.0f;
   if (!data.unknown_statements.empty()) {
-    TrainRc(data);
+    rc_loss = TrainRc(data);
   }
   LOG_INFO << "InfuserKI training done in " << watch.ElapsedSeconds()
            << "s (infuser " << infuser_seconds << "s, qa " << qa_seconds
-           << "s, rc " << watch.Lap() << "s; L_In=" << infuser_loss_
-           << ", L_QA=" << qa_loss_ << ", L_RC-phase=" << rc_loss_ << ")";
+           << "s, rc " << watch.Lap() << "s; L_In=" << infuser_loss
+           << ", L_QA=" << qa_loss << ", L_RC-phase=" << rc_loss << ")";
 }
 
-void InfuserKi::TrainInfuser(const KiTrainData& data) {
+float InfuserKi::TrainInfuser(const KiTrainData& data) {
   OBS_SPAN("infuserki/train_infuser");
   // Balanced mix: every known sample (label 0, "already acquired") paired
   // with an equal number of unknown samples (label 1, "new knowledge").
@@ -87,7 +135,7 @@ void InfuserKi::TrainInfuser(const KiTrainData& data) {
   size_t pairs = std::max(data.known_qa.size(), data.unknown_qa.size());
   if (data.known_qa.empty() || data.unknown_qa.empty()) {
     LOG_WARNING << "Infuser tuning skipped: no balanced samples available";
-    return;
+    return 0.0f;
   }
   // Items use prompt+continuation sequences: evaluation scores every MCQ
   // option as a continuation, so the gate must discriminate on exactly
@@ -117,73 +165,31 @@ void InfuserKi::TrainInfuser(const KiTrainData& data) {
   }
 
   model::ForwardOptions forward = Forward();
-  tensor::AdamW optimizer(stack_.InfuserParameters(),
-                          {.lr = options_.lr, .weight_decay = 0.0f});
   util::Rng rng(options_.seed);
-  std::vector<size_t> order(items.size());
-  std::iota(order.begin(), order.end(), 0);
-  size_t steps_per_epoch =
-      (items.size() + options_.batch_size - 1) / options_.batch_size;
-  double last_epoch_loss = 0.0;
-  for (size_t epoch = 0; epoch < options_.infuser_epochs; ++epoch) {
-    rng.Shuffle(&order);
-    size_t cursor = 0;
-    double epoch_loss = 0.0;
-    for (size_t step = 0; step < steps_per_epoch; ++step) {
-      size_t batch = 0;
-      double batch_loss = 0.0;
-      for (; batch < options_.batch_size && cursor < order.size();
-           ++batch, ++cursor) {
-        const Item& item = items[order[cursor]];
+  return TrainItemEpochs(
+      items.size(), options_.infuser_epochs, options_.batch_size,
+      stack_.InfuserParameters(), options_.lr, &rng, [&](size_t i) {
         // Forward the prompt; the hook collects per-layer Infuser logits.
-        (void)lm_->Hidden(item.tokens, forward);
+        (void)lm_->Hidden(items[i].tokens, forward);
         const std::vector<Tensor>& logits = stack_.infuser_logits();
         CHECK(!logits.empty());
         Tensor all = logits[0];
         for (size_t l = 1; l < logits.size(); ++l) {
           all = tensor::Concat1d(all, logits[l]);
         }
-        std::vector<float> labels(all.size(), item.label);
-        Tensor loss = tensor::BceWithLogits(all, labels);
-        batch_loss += loss.item();
-        tensor::MulScalar(loss, 1.0f / static_cast<float>(
-                                           options_.batch_size))
-            .Backward();
-      }
-      if (batch == 0) continue;
-      tensor::ClipGradNorm(optimizer.params(), 1.0f);
-      optimizer.Step();
-      optimizer.ZeroGrad();
-      epoch_loss += batch_loss / static_cast<double>(batch);
-    }
-    last_epoch_loss = epoch_loss / static_cast<double>(steps_per_epoch);
-  }
-  infuser_loss_ = static_cast<float>(last_epoch_loss);
+        std::vector<float> labels(all.size(), items[i].label);
+        return tensor::BceWithLogits(all, labels);
+      });
 }
 
-void InfuserKi::TrainQa(const KiTrainData& data) {
+float InfuserKi::TrainQa(const KiTrainData& data) {
   OBS_SPAN("infuserki/train_qa");
   // The same modest mix of known samples every method receives (§4.1).
-  // Known-replay examples are tagged: they run with the gate forced open so
-  // the adapter itself learns to preserve known answers, making the method
-  // robust to residual gate errors at inference.
-  constexpr int kKnownTag = 1;
-  std::vector<model::LmExample> examples;
-  for (const kg::QaSample& sample : data.unknown_qa) {
-    examples.push_back(model::MakeInstructionExample(
-        *data.tokenizer, sample.prompt, sample.response));
-  }
-  for (const kg::QaSample& sample : data.known_qa) {
-    model::LmExample example = model::MakeInstructionExample(
-        *data.tokenizer, sample.prompt, sample.response);
-    example.tag = kKnownTag;
-    examples.push_back(std::move(example));
-  }
-  for (const kg::YesNoSample& sample : data.unknown_yesno) {
-    examples.push_back(model::MakeInstructionExample(
-        *data.tokenizer, sample.prompt, sample.answer ? "yes" : "no"));
-  }
-  CHECK(!examples.empty()) << "no QA training data";
+  // Known-replay examples run with the gate forced open so the adapter
+  // itself learns to preserve known answers, making the method robust to
+  // residual gate errors at inference.
+  std::vector<model::LmExample> examples = BuildInstructionExamples(
+      data, /*include_known=*/true, /*include_yesno=*/true);
 
   // The base model stays frozen. A pretrained Infuser is also frozen here —
   // letting the QA gradient keep moving it erodes the known/unknown
@@ -193,24 +199,21 @@ void InfuserKi::TrainQa(const KiTrainData& data) {
   if (options_.adapters.use_infuser && !options_.infuser_pretrain) {
     for (const Tensor& t : stack_.InfuserParameters()) params.push_back(t);
   }
-  model::LmTrainer::Options trainer_options;
-  trainer_options.lr = options_.lr;
-  trainer_options.batch_size = options_.batch_size;
-  trainer_options.seed = options_.seed + 1;
+  model::LmTrainer::Options trainer_options{.lr = options_.lr,
+                                            .batch_size = options_.batch_size,
+                                            .seed = options_.seed + 1};
   if (options_.adapters.use_infuser && options_.replay_open_gate) {
     trainer_options.on_example = [this](const model::LmExample& example) {
-      stack_.set_gate_override(example.tag == kKnownTag ? 1.0f : -1.0f);
+      stack_.set_gate_override(example.tag == kKnownReplayTag ? 1.0f : -1.0f);
     };
   }
   model::LmTrainer trainer(lm_, std::move(params), trainer_options);
-  size_t steps_per_epoch =
-      (examples.size() + options_.batch_size - 1) / options_.batch_size;
-  qa_loss_ = trainer.TrainSteps(examples, options_.qa_epochs * steps_per_epoch,
-                                Forward());
+  float loss = trainer.TrainEpochs(examples, options_.qa_epochs, Forward());
   stack_.set_gate_override(-1.0f);
+  return loss;
 }
 
-void InfuserKi::TrainRc(const KiTrainData& data) {
+float InfuserKi::TrainRc(const KiTrainData& data) {
   OBS_SPAN("infuserki/train_rc");
   util::Rng rng(options_.seed + 2);
   if (options_.use_rc && rc_proj_ == nullptr) {
@@ -258,7 +261,7 @@ void InfuserKi::TrainRc(const KiTrainData& data) {
     item.tail_span = span_of(data.kg->entity(triplet.tail).name);
     items.push_back(std::move(item));
   }
-  if (items.empty()) return;
+  if (items.empty()) return 0.0f;
 
   std::vector<Tensor> params = stack_.AdapterParameters();
   if (options_.adapters.use_infuser && !options_.infuser_pretrain) {
@@ -268,59 +271,29 @@ void InfuserKi::TrainRc(const KiTrainData& data) {
     for (const Tensor& t : rc_proj_->Parameters()) params.push_back(t);
     for (const Tensor& t : rc_rel_emb_->Parameters()) params.push_back(t);
   }
-  tensor::AdamW optimizer(
-      std::move(params),
-      {.lr = options_.lr * options_.rc_lr_scale, .weight_decay = 0.0f});
   model::ForwardOptions forward = Forward();
-
-  std::vector<size_t> order(items.size());
-  std::iota(order.begin(), order.end(), 0);
-  size_t steps_per_epoch =
-      (items.size() + options_.batch_size - 1) / options_.batch_size;
-  double last_epoch_loss = 0.0;
-  for (size_t epoch = 0; epoch < options_.rc_epochs; ++epoch) {
-    rng.Shuffle(&order);
-    size_t cursor = 0;
-    double epoch_loss = 0.0;
-    for (size_t step = 0; step < steps_per_epoch; ++step) {
-      size_t batch = 0;
-      double batch_loss = 0.0;
-      for (; batch < options_.batch_size && cursor < order.size();
-           ++batch, ++cursor) {
-        const Item& item = items[order[cursor]];
+  return TrainItemEpochs(
+      items.size(), options_.rc_epochs, options_.batch_size, std::move(params),
+      options_.lr * options_.rc_lr_scale, &rng, [&](size_t i) {
+        const Item& item = items[i];
         // Next-token loss over the statement (Eq. 10); the same forward
         // leaves H_A^L in the stack for RC pooling.
         Tensor loss = lm_->NextTokenLoss(item.tokens, 0, forward);
-        if (options_.use_rc) {
-          const Tensor& adapter_out = stack_.last_adapter_output();
-          CHECK(adapter_out.defined());
-          Tensor v_head = tensor::MeanAxis0(
-              tensor::GatherRows(adapter_out, item.head_span));
-          Tensor v_tail = tensor::MeanAxis0(
-              tensor::GatherRows(adapter_out, item.tail_span));
-          Tensor v_rel = tensor::Reshape(tensor::Concat1d(v_head, v_tail),
-                                         {1, 2 * lm_->config().dim});
-          Tensor scores = tensor::MulScalar(
-              tensor::MatmulNT(rc_proj_->Forward(v_rel),
-                               rc_rel_emb_->table()),
-              1.0f / options_.tau);
-          Tensor rc = tensor::CrossEntropy(scores, {item.relation});
-          loss = tensor::Add(loss, tensor::MulScalar(rc, options_.lambda_rc));
-        }
-        batch_loss += loss.item();
-        tensor::MulScalar(loss, 1.0f / static_cast<float>(
-                                           options_.batch_size))
-            .Backward();
-      }
-      if (batch == 0) continue;
-      tensor::ClipGradNorm(optimizer.params(), 1.0f);
-      optimizer.Step();
-      optimizer.ZeroGrad();
-      epoch_loss += batch_loss / static_cast<double>(batch);
-    }
-    last_epoch_loss = epoch_loss / static_cast<double>(steps_per_epoch);
-  }
-  rc_loss_ = static_cast<float>(last_epoch_loss);
+        if (!options_.use_rc) return loss;
+        const Tensor& adapter_out = stack_.last_adapter_output();
+        CHECK(adapter_out.defined());
+        Tensor v_head = tensor::MeanAxis0(
+            tensor::GatherRows(adapter_out, item.head_span));
+        Tensor v_tail = tensor::MeanAxis0(
+            tensor::GatherRows(adapter_out, item.tail_span));
+        Tensor v_rel = tensor::Reshape(tensor::Concat1d(v_head, v_tail),
+                                       {1, 2 * lm_->config().dim});
+        Tensor scores = tensor::MulScalar(
+            tensor::MatmulNT(rc_proj_->Forward(v_rel), rc_rel_emb_->table()),
+            1.0f / options_.tau);
+        Tensor rc = tensor::CrossEntropy(scores, {item.relation});
+        return tensor::Add(loss, tensor::MulScalar(rc, options_.lambda_rc));
+      });
 }
 
 }  // namespace infuserki::core

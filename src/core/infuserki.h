@@ -71,24 +71,17 @@ class InfuserKi : public KiMethod {
   KnowledgeAdapterStack& stack() { return stack_; }
   const InfuserKiOptions& options() const { return options_; }
 
-  /// Mean losses of the three phases after Train() (diagnostics).
-  float infuser_loss() const { return infuser_loss_; }
-  float qa_loss() const { return qa_loss_; }
-  float rc_loss() const { return rc_loss_; }
-
  private:
-  void TrainInfuser(const KiTrainData& data);
-  void TrainQa(const KiTrainData& data);
-  void TrainRc(const KiTrainData& data);
+  // Each phase returns its final loss for Train()'s log line.
+  float TrainInfuser(const KiTrainData& data);
+  float TrainQa(const KiTrainData& data);
+  float TrainRc(const KiTrainData& data);
 
   model::TransformerLM* lm_;
   InfuserKiOptions options_;
   KnowledgeAdapterStack stack_;
   std::unique_ptr<tensor::Linear> rc_proj_;       // f1^R: [2D -> rc_dim]
   std::unique_ptr<tensor::Embedding> rc_rel_emb_;  // f2^R: [#rel, rc_dim]
-  float infuser_loss_ = 0.0f;
-  float qa_loss_ = 0.0f;
-  float rc_loss_ = 0.0f;
 };
 
 }  // namespace infuserki::core

@@ -16,6 +16,7 @@ std::vector<model::LmExample> BuildInstructionExamples(
     for (const kg::QaSample& sample : data.known_qa) {
       examples.push_back(model::MakeInstructionExample(
           *data.tokenizer, sample.prompt, sample.response));
+      examples.back().tag = kKnownReplayTag;
     }
   }
   if (include_yesno) {

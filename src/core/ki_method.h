@@ -37,9 +37,13 @@ struct KiTrainData {
   std::vector<kg::StatementSample> unknown_statements;
 };
 
+/// `model::LmExample::tag` of the known-sample mix. Only InfuserKI reads
+/// it: its QA phase runs these examples with the gate forced open.
+constexpr int kKnownReplayTag = 1;
+
 /// Converts KiTrainData into instruction-tuning examples: unknown QA,
-/// optionally the known-sample mix, optionally the yes/no samples. Shared
-/// by InfuserKI's QA phase and every baseline.
+/// optionally the known-sample mix (tagged kKnownReplayTag), optionally the
+/// yes/no samples. Shared by InfuserKI's QA phase and every baseline.
 std::vector<model::LmExample> BuildInstructionExamples(
     const KiTrainData& data, bool include_known, bool include_yesno);
 

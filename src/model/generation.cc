@@ -29,49 +29,6 @@ int ArgmaxLastRow(const Tensor& logits) {
   return ArgmaxRow(logits.data() + (logits.dim(0) - 1) * vocab, vocab);
 }
 
-/// Temperature/top-k sample from the last row of a [T, V] logits tensor.
-int SampleLastRow(const Tensor& logits, util::Rng* rng, float temperature,
-                  size_t top_k) {
-  size_t last = logits.dim(0) - 1;
-  size_t vocab = logits.dim(1);
-  const float* row = logits.data() + last * vocab;
-  // Collect (logit, id), optionally truncated to the top-k.
-  std::vector<std::pair<float, int>> candidates;
-  candidates.reserve(vocab);
-  for (size_t v = 0; v < vocab; ++v) {
-    candidates.emplace_back(row[v], static_cast<int>(v));
-  }
-  if (top_k > 0 && top_k < vocab) {
-    std::partial_sort(candidates.begin(),
-                      candidates.begin() + static_cast<long>(top_k),
-                      candidates.end(),
-                      [](const auto& a, const auto& b) {
-                        return a.first > b.first;
-                      });
-    candidates.resize(top_k);
-  }
-  float mx = candidates[0].first;
-  for (const auto& [logit, id] : candidates) mx = std::max(mx, logit);
-  double total = 0.0;
-  std::vector<double> weights;
-  weights.reserve(candidates.size());
-  for (const auto& [logit, id] : candidates) {
-    double w = std::exp(static_cast<double>(logit - mx) / temperature);
-    weights.push_back(w);
-    total += w;
-  }
-  double draw = rng->Uniform(0.0, total);
-  int chosen = candidates.back().second;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    draw -= weights[i];
-    if (draw <= 0.0) {
-      chosen = candidates[i].second;
-      break;
-    }
-  }
-  return chosen;
-}
-
 /// log P(target | row) via a numerically stable log-softmax. The arithmetic
 /// (float max scan, double exp-sum in vocab order) is kept byte-for-byte
 /// identical to the full-sequence SequenceLogProb loop so cached and
@@ -139,19 +96,16 @@ double ContinuationLogProb(OneSlot* session, const Tensor& prompt_logits,
 /// gate pools over every position, so its forward is non-causal and cannot
 /// be served from a KV cache — see DESIGN.md §7). Re-runs the model over
 /// the whole sequence each step, exactly like the pre-engine code.
-/// `pick` maps the step's logits to the next token id.
-template <typename PickFn>
 std::vector<int> DecodeFullRecompute(const TransformerLM& lm,
                                      const std::vector<int>& prompt_ids,
                                      size_t max_new_tokens,
-                                     const ForwardOptions& options,
-                                     PickFn&& pick) {
+                                     const ForwardOptions& options) {
   std::vector<int> sequence = prompt_ids;
   std::vector<int> generated;
   for (size_t step = 0; step < max_new_tokens; ++step) {
     if (sequence.size() >= lm.config().max_seq_len) break;
     Tensor logits = lm.Logits(sequence, options);
-    int next = pick(logits);
+    int next = ArgmaxLastRow(logits);
     if (next == text::kEosId) break;
     generated.push_back(next);
     sequence.push_back(next);
@@ -163,11 +117,10 @@ std::vector<int> DecodeFullRecompute(const TransformerLM& lm,
 /// forward per generated token. Token-stream-identical to
 /// DecodeFullRecompute for any causal forward (verified bit-exactly in
 /// tests/kv_cache_test.cc).
-template <typename PickFn>
 std::vector<int> DecodeCached(const TransformerLM& lm,
                               const std::vector<int>& prompt_ids,
                               size_t max_new_tokens,
-                              const ForwardOptions& options, PickFn&& pick) {
+                              const ForwardOptions& options) {
   std::vector<int> generated;
   if (max_new_tokens == 0 ||
       prompt_ids.size() >= lm.config().max_seq_len) {
@@ -176,7 +129,7 @@ std::vector<int> DecodeCached(const TransformerLM& lm,
   OneSlot session(lm, options);
   Tensor logits = session.Feed(prompt_ids);
   while (true) {
-    int next = pick(logits);
+    int next = ArgmaxLastRow(logits);
     if (next == text::kEosId) break;
     generated.push_back(next);
     if (generated.size() >= max_new_tokens) break;
@@ -216,32 +169,10 @@ std::vector<int> GreedyDecode(const TransformerLM& lm,
                               size_t max_new_tokens,
                               const ForwardOptions& options) {
   NoGradGuard no_grad;
-  auto pick = [](const Tensor& logits) { return ArgmaxLastRow(logits); };
   if (HasSequenceStatefulHook(options)) {
-    return DecodeFullRecompute(lm, prompt_ids, max_new_tokens, options,
-                               pick);
+    return DecodeFullRecompute(lm, prompt_ids, max_new_tokens, options);
   }
-  return DecodeCached(lm, prompt_ids, max_new_tokens, options, pick);
-}
-
-std::vector<int> SampleDecode(const TransformerLM& lm,
-                              const std::vector<int>& prompt_ids,
-                              size_t max_new_tokens, util::Rng* rng,
-                              float temperature, size_t top_k,
-                              const ForwardOptions& options) {
-  CHECK(rng != nullptr);
-  if (temperature <= 0.0f) {
-    return GreedyDecode(lm, prompt_ids, max_new_tokens, options);
-  }
-  NoGradGuard no_grad;
-  auto pick = [&](const Tensor& logits) {
-    return SampleLastRow(logits, rng, temperature, top_k);
-  };
-  if (HasSequenceStatefulHook(options)) {
-    return DecodeFullRecompute(lm, prompt_ids, max_new_tokens, options,
-                               pick);
-  }
-  return DecodeCached(lm, prompt_ids, max_new_tokens, options, pick);
+  return DecodeCached(lm, prompt_ids, max_new_tokens, options);
 }
 
 double SequenceLogProb(const TransformerLM& lm,

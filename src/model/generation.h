@@ -21,14 +21,6 @@ std::vector<int> GreedyDecode(const TransformerLM& lm,
                               size_t max_new_tokens,
                               const ForwardOptions& options = {});
 
-/// Temperature / top-k sampling. `temperature` <= 0 degenerates to greedy;
-/// `top_k` = 0 disables truncation. Returns the newly generated ids.
-std::vector<int> SampleDecode(const TransformerLM& lm,
-                              const std::vector<int>& prompt_ids,
-                              size_t max_new_tokens, util::Rng* rng,
-                              float temperature = 1.0f, size_t top_k = 0,
-                              const ForwardOptions& options = {});
-
 /// Sum of log P(continuation | prompt) under the LM, in nats.
 double SequenceLogProb(const TransformerLM& lm,
                        const std::vector<int>& prompt_ids,

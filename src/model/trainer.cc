@@ -224,6 +224,12 @@ float LmTrainer::TrainSteps(const std::vector<LmExample>& examples,
   return static_cast<float>(total / static_cast<double>(window));
 }
 
+float LmTrainer::TrainEpochs(const std::vector<LmExample>& examples,
+                             size_t epochs, const ForwardOptions& forward) {
+  size_t steps_per_epoch = (examples.size() + batch_size_ - 1) / batch_size_;
+  return TrainSteps(examples, epochs * steps_per_epoch, forward);
+}
+
 float LmTrainer::Step(const std::vector<const LmExample*>& batch,
                       const ForwardOptions& forward) {
   CHECK(!batch.empty());

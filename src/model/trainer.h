@@ -19,8 +19,9 @@ namespace infuserki::model {
 struct LmExample {
   std::vector<int> tokens;
   size_t loss_start = 0;
-  /// Free-form marker a training recipe can attach (e.g. InfuserKI tags
-  /// known-replay samples to flip its gate override per example).
+  /// Free-form marker a training recipe can attach and read back in
+  /// `LmTrainer::Options::on_example` (core::BuildInstructionExamples tags
+  /// known-replay samples with core::kKnownReplayTag).
   int tag = 0;
 };
 
@@ -55,7 +56,7 @@ class LmTrainer {
     float min_lr_fraction = 0.1f;
     /// Invoked before each example's forward pass (per-example setup such
     /// as hook reconfiguration). May be empty.
-    std::function<void(const LmExample&)> on_example;
+    std::function<void(const LmExample&)> on_example = nullptr;
   };
 
   LmTrainer(const TransformerLM* lm, std::vector<tensor::Tensor> trainable,
@@ -73,6 +74,12 @@ class LmTrainer {
   float TrainSteps(const std::vector<LmExample>& examples, size_t steps,
                    const ForwardOptions& forward = {},
                    const CheckpointPolicy& policy = {});
+
+  /// TrainSteps with epochs * ceil(examples.size() / batch_size) steps. The
+  /// entry every instruction-tuning recipe (each baseline and InfuserKI's
+  /// QA phase) trains through.
+  float TrainEpochs(const std::vector<LmExample>& examples, size_t epochs,
+                    const ForwardOptions& forward = {});
 
   /// Single optimizer step on an explicit batch; returns its mean loss.
   float Step(const std::vector<const LmExample*>& batch,

@@ -42,17 +42,12 @@ void CalinetMethod::Train(const core::KiTrainData& data) {
   obs::ScopedSpan obs_train_span("method/" + name() + "/train");
   std::vector<model::LmExample> examples = core::BuildInstructionExamples(
       data, options_.include_known_mix, /*include_yesno=*/true);
-  CHECK(!examples.empty());
-  model::LmTrainer::Options trainer_options;
-  trainer_options.lr = options_.lr;
-  trainer_options.batch_size = options_.batch_size;
-  trainer_options.seed = options_.seed + 1;
-  model::LmTrainer trainer(lm_, {keys_, values_}, trainer_options);
-  size_t steps_per_epoch =
-      (examples.size() + options_.batch_size - 1) / options_.batch_size;
-  final_loss_ = trainer.TrainSteps(
-      examples, options_.epochs * steps_per_epoch, Forward());
-  LOG_INFO << name() << " training done, loss " << final_loss_;
+  model::LmTrainer trainer(lm_, {keys_, values_},
+                           {.lr = options_.lr,
+                            .batch_size = options_.batch_size,
+                            .seed = options_.seed + 1});
+  float loss = trainer.TrainEpochs(examples, options_.epochs, Forward());
+  LOG_INFO << name() << " training done, loss " << loss;
 }
 
 size_t CalinetMethod::NumTrainableParameters() const {

@@ -48,7 +48,6 @@ class CalinetMethod : public core::KiMethod, public model::FfnHook {
   // FFN-style memory slots: delta = gelu(x K^T) V.
   tensor::Tensor keys_;    // [num_slots, D]
   tensor::Tensor values_;  // [num_slots, D]
-  float final_loss_ = 0.0f;
 };
 
 }  // namespace infuserki::peft

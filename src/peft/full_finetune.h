@@ -31,7 +31,6 @@ class FullFinetuneMethod : public core::KiMethod {
  private:
   model::TransformerLM* lm_;
   FullFinetuneOptions options_;
-  float final_loss_ = 0.0f;
 };
 
 }  // namespace infuserki::peft

@@ -58,22 +58,17 @@ void LoraMethod::Train(const core::KiTrainData& data) {
   obs::ScopedSpan obs_train_span("method/" + name() + "/train");
   std::vector<model::LmExample> examples = core::BuildInstructionExamples(
       data, /*include_known=*/true, /*include_yesno=*/true);
-  CHECK(!examples.empty());
   std::vector<tensor::Tensor> params;
   for (const auto& delta : deltas_) {
     params.push_back(delta->a);
     params.push_back(delta->b);
   }
-  model::LmTrainer::Options trainer_options;
-  trainer_options.lr = options_.lr;
-  trainer_options.batch_size = options_.batch_size;
-  trainer_options.seed = options_.seed + 1;
-  model::LmTrainer trainer(lm_, std::move(params), trainer_options);
-  size_t steps_per_epoch =
-      (examples.size() + options_.batch_size - 1) / options_.batch_size;
-  final_loss_ =
-      trainer.TrainSteps(examples, options_.epochs * steps_per_epoch);
-  LOG_INFO << name() << " training done, loss " << final_loss_;
+  model::LmTrainer trainer(lm_, std::move(params),
+                           {.lr = options_.lr,
+                            .batch_size = options_.batch_size,
+                            .seed = options_.seed + 1});
+  float loss = trainer.TrainEpochs(examples, options_.epochs);
+  LOG_INFO << name() << " training done, loss " << loss;
 }
 
 size_t LoraMethod::NumTrainableParameters() const {

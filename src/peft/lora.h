@@ -46,13 +46,10 @@ class LoraMethod : public core::KiMethod {
   model::ForwardOptions Forward() override { return {}; }
   size_t NumTrainableParameters() const override;
 
-  float final_loss() const { return final_loss_; }
-
  private:
   model::TransformerLM* lm_;
   LoraOptions options_;
   std::vector<std::shared_ptr<tensor::LoraDelta>> deltas_;
-  float final_loss_ = 0.0f;
 };
 
 }  // namespace infuserki::peft

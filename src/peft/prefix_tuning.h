@@ -34,7 +34,6 @@ class PrefixTuningMethod : public core::KiMethod {
   model::TransformerLM* lm_;
   PrefixTuningOptions options_;
   model::PrefixKv prefix_;
-  float final_loss_ = 0.0f;
 };
 
 }  // namespace infuserki::peft

@@ -51,7 +51,6 @@ class TPatcherMethod : public core::KiMethod, public model::FfnHook {
   tensor::Tensor keys_;    // [P, D]
   tensor::Tensor bias_;    // [P]
   tensor::Tensor values_;  // [P, D]
-  float final_loss_ = 0.0f;
 };
 
 }  // namespace infuserki::peft

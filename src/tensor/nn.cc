@@ -105,31 +105,15 @@ Tensor Embedding::Forward(const std::vector<int>& ids) const {
 }
 
 Mlp::Mlp(size_t in_features, size_t hidden, size_t out_features,
-         util::Rng* rng, Activation activation)
-    : activation_(activation),
-      fc1_(in_features, hidden, rng),
+         util::Rng* rng)
+    : fc1_(in_features, hidden, rng),
       fc2_(hidden, out_features, rng) {
   RegisterModule("fc1", &fc1_);
   RegisterModule("fc2", &fc2_);
 }
 
 Tensor Mlp::Forward(const Tensor& x) const {
-  Tensor h = fc1_.Forward(x);
-  switch (activation_) {
-    case Activation::kRelu:
-      h = Relu(h);
-      break;
-    case Activation::kTanh:
-      h = Tanh(h);
-      break;
-    case Activation::kGelu:
-      h = Gelu(h);
-      break;
-    case Activation::kSilu:
-      h = Silu(h);
-      break;
-  }
-  return fc2_.Forward(h);
+  return fc2_.Forward(Tanh(fc1_.Forward(x)));
 }
 
 std::shared_ptr<LoraDelta> MakeLoraDelta(size_t in_features,

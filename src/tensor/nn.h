@@ -117,20 +117,16 @@ class Embedding : public Module {
   Tensor table_;
 };
 
-/// Two-layer MLP with a configurable hidden activation and sigmoid-free
-/// output (caller applies the loss/nonlinearity). Used by the Infuser
-/// (Eq. 4) and the RC projection heads (Eq. 9).
+/// Two-layer MLP, fc2(tanh(fc1(x))), with a nonlinearity-free output (the
+/// caller applies the loss or sigmoid). Used by the Infuser f_In (Eq. 4);
+/// the RC heads (Eq. 9) are a Linear and an Embedding.
 class Mlp : public Module {
  public:
-  enum class Activation { kRelu, kTanh, kGelu, kSilu };
-
-  Mlp(size_t in_features, size_t hidden, size_t out_features, util::Rng* rng,
-      Activation activation = Activation::kTanh);
+  Mlp(size_t in_features, size_t hidden, size_t out_features, util::Rng* rng);
 
   Tensor Forward(const Tensor& x) const;
 
  private:
-  Activation activation_;
   Linear fc1_;
   Linear fc2_;
 };

@@ -27,8 +27,6 @@ bool Rng::Bernoulli(double p) {
   return dist(engine_);
 }
 
-Rng Rng::Fork() { return Rng(engine_()); }
-
 std::string Rng::SaveState() const {
   std::ostringstream os;
   os << engine_;

@@ -35,9 +35,6 @@ class Rng {
   /// Bernoulli draw with success probability p in [0, 1].
   bool Bernoulli(double p);
 
-  /// Returns a new independent generator derived from this one's stream.
-  Rng Fork();
-
   /// Serializes the full engine state (the exact mt19937_64 stream
   /// position), so a restored generator continues the identical sequence.
   /// Used by training-state checkpoints for bit-exact resume.

@@ -41,10 +41,6 @@ class BinaryWriter {
   BinaryWriter(const BinaryWriter&) = delete;
   BinaryWriter& operator=(const BinaryWriter&) = delete;
 
-  /// Buffered writers cannot fail before Finish(); kept for call-site
-  /// compatibility with the v1 streaming writer.
-  bool ok() const { return true; }
-
   void WriteU32(uint32_t v) { WriteRaw(&v, sizeof(v)); }
   void WriteU64(uint64_t v) { WriteRaw(&v, sizeof(v)); }
   void WriteF32(float v) { WriteRaw(&v, sizeof(v)); }

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+
 #include "core/ki_method.h"
+#include "obs/metrics.h"
 #include "peft/calinet.h"
 #include "peft/full_finetune.h"
 #include "peft/lora.h"
@@ -177,9 +181,68 @@ TEST_F(BaselineFixture, BuildInstructionExamplesRespectsFlags) {
   yn.prompt = "is it ? answer :";
   yn.answer = true;
   data.unknown_yesno.push_back(yn);
-  EXPECT_EQ(core::BuildInstructionExamples(data, true, true).size(), 4u);
+  std::vector<model::LmExample> all =
+      core::BuildInstructionExamples(data, true, true);
+  ASSERT_EQ(all.size(), 4u);
+  // Unknown QA, then the known mix (tagged for InfuserKI's gate override),
+  // then yes/no.
+  EXPECT_EQ(all[0].tag, 0);
+  EXPECT_EQ(all[1].tag, 0);
+  EXPECT_EQ(all[2].tag, core::kKnownReplayTag);
+  EXPECT_EQ(all[3].tag, 0);
   EXPECT_EQ(core::BuildInstructionExamples(data, false, true).size(), 3u);
   EXPECT_EQ(core::BuildInstructionExamples(data, false, false).size(), 2u);
+}
+
+// Every baseline trains through LmTrainer::TrainEpochs: `epochs` epochs of
+// ceil(n / batch_size) full batches. These are the trainer/* counters the
+// repository benchmark reads.
+TEST_F(BaselineFixture, TrainCountsEpochsOfCeilBatches) {
+  core::KiTrainData data = TinyData(&tokenizer_, &kg_);
+  kg::YesNoSample yn;
+  yn.prompt = "question : is x alpha ? answer :";
+  yn.answer = true;
+  data.unknown_yesno.push_back(yn);  // n = 3 examples for every baseline
+  constexpr size_t kEpochs = 3;
+  constexpr size_t kBatch = 2;
+  constexpr size_t kSteps = kEpochs * 2;  // ceil(3 / 2) = 2 steps per epoch
+
+  using Factory = std::function<std::unique_ptr<core::KiMethod>()>;
+  const std::vector<Factory> factories = {
+      [&] {
+        return std::make_unique<CalinetMethod>(
+            &lm_, CalinetOptions{.batch_size = kBatch, .epochs = kEpochs});
+      },
+      [&] {
+        return std::make_unique<TPatcherMethod>(
+            &lm_, TPatcherOptions{.batch_size = kBatch, .epochs = kEpochs});
+      },
+      [&] {
+        return std::make_unique<PrefixTuningMethod>(
+            &lm_,
+            PrefixTuningOptions{.batch_size = kBatch, .epochs = kEpochs});
+      },
+      [&] {
+        return std::make_unique<LoraMethod>(
+            &lm_, LoraOptions{.batch_size = kBatch, .epochs = kEpochs});
+      },
+      [&] {
+        return std::make_unique<FullFinetuneMethod>(
+            &lm_,
+            FullFinetuneOptions{.batch_size = kBatch, .epochs = kEpochs});
+      },
+  };
+  for (const Factory& factory : factories) {
+    std::unique_ptr<core::KiMethod> method = factory();
+    SCOPED_TRACE(method->name());
+    obs::Registry::Snapshot before = obs::Registry::Get().TakeSnapshot();
+    method->Train(data);
+    obs::Registry::Snapshot after = obs::Registry::Get().TakeSnapshot();
+    EXPECT_EQ(obs::Registry::CounterDelta(before, after, "trainer/steps"),
+              kSteps);
+    EXPECT_EQ(obs::Registry::CounterDelta(before, after, "trainer/examples"),
+              kSteps * kBatch);
+  }
 }
 
 }  // namespace

@@ -73,26 +73,6 @@ TEST_F(TrainedLmFixture, ExtractReturnsMinusOneWhenNothingMatches) {
   EXPECT_EQ(chosen, -1);
 }
 
-TEST_F(TrainedLmFixture, SampleDecodeZeroTemperatureIsGreedy) {
-  std::vector<int> prompt = base_->tokenizer.EncodeWithSpecials(
-      "question : color of sky ? answer :", false);
-  util::Rng rng(9);
-  std::vector<int> sampled =
-      SampleDecode(*base_->lm, prompt, 6, &rng, /*temperature=*/0.0f);
-  EXPECT_EQ(sampled, GreedyDecode(*base_->lm, prompt, 6));
-}
-
-TEST_F(TrainedLmFixture, SampleDecodeTopKStaysOnDistribution) {
-  // With a peaked model and top_k=1, sampling must reproduce greedy.
-  std::vector<int> prompt = base_->tokenizer.EncodeWithSpecials(
-      "question : color of grass ? answer :", false);
-  util::Rng rng(10);
-  std::vector<int> sampled = SampleDecode(*base_->lm, prompt, 6, &rng,
-                                          /*temperature=*/1.0f,
-                                          /*top_k=*/1);
-  EXPECT_EQ(sampled, GreedyDecode(*base_->lm, prompt, 6));
-}
-
 TEST_F(TrainedLmFixture, SequenceLogProbOrdersContinuations) {
   std::vector<int> prompt = base_->tokenizer.EncodeWithSpecials(
       "question : color of grass ? answer :", false);

@@ -3,8 +3,10 @@
 #include "core/detection.h"
 #include "core/infuserki.h"
 #include "core/ki_method.h"
+#include "kg/dataset.h"
 #include "kg/synth.h"
 #include "model/pretrain.h"
+#include "obs/metrics.h"
 
 namespace infuserki::core {
 namespace {
@@ -86,6 +88,70 @@ TEST(InfuserKi, TrainableParameterCount) {
       (options.adapters.infuser_hidden + 1);
   EXPECT_EQ(method.NumTrainableParameters(),
             3 * (per_layer_adapter + per_layer_infuser));
+}
+
+// Only the QA phase trains through LmTrainer, so only it moves the
+// trainer/* counters the repository benchmark reads (tokens_per_s,
+// model.train_steps): qa_epochs * ceil(n / batch_size) steps of full
+// batches. The Infuser and RC phases run their own loop and add nothing.
+TEST(InfuserKi, OnlyQaPhaseCountsTrainerSteps) {
+  kg::KnowledgeGraph graph =
+      kg::SyntheticUmls({.num_triplets = 24, .seed = 31});
+  kg::TemplateEngine templates;
+  kg::DatasetBuilder dataset(&graph, &templates);
+  util::Rng rng(32);
+  KiTrainData data;
+  data.kg = &graph;
+  data.unknown_qa = dataset.BuildQa({0, 1, 2, 3, 4}, 1, &rng);
+  data.known_qa = dataset.BuildQa({5, 6, 7}, 1, &rng);
+  data.unknown_statements = dataset.BuildStatements({0, 1, 2, 3, 4});
+  std::vector<std::string> corpus;
+  for (const auto* samples : {&data.unknown_qa, &data.known_qa}) {
+    for (const kg::QaSample& sample : *samples) {
+      corpus.push_back(sample.prompt + " " + sample.response);
+      for (const std::string& option : sample.mcq.options) {
+        corpus.push_back(option);
+      }
+    }
+  }
+  for (const kg::StatementSample& statement : data.unknown_statements) {
+    corpus.push_back(statement.text);
+  }
+  text::Tokenizer tokenizer = text::Tokenizer::Build(corpus);
+  data.tokenizer = &tokenizer;
+
+  model::TransformerConfig config;
+  config.vocab_size = tokenizer.vocab_size();
+  config.dim = 16;
+  config.num_layers = 3;
+  config.num_heads = 2;
+  config.ffn_hidden = 32;
+  model::TransformerLM lm(config, &rng);
+  InfuserKiOptions options;
+  options.adapters.first_layer = 1;
+  options.batch_size = 3;
+  options.infuser_epochs = 2;
+  options.qa_epochs = 3;
+  options.rc_epochs = 2;
+  InfuserKi method(&lm, options);
+  std::vector<float> infuser_before =
+      method.stack().InfuserParameters()[0].vec();
+  size_t params_before = method.NumTrainableParameters();
+
+  obs::Registry::Snapshot before = obs::Registry::Get().TakeSnapshot();
+  method.Train(data);
+  obs::Registry::Snapshot after = obs::Registry::Get().TakeSnapshot();
+
+  // The Infuser phase ran (the QA phase keeps a pretrained Infuser frozen)
+  // and so did the RC phase (it creates the RC heads).
+  EXPECT_NE(method.stack().InfuserParameters()[0].vec(), infuser_before);
+  EXPECT_GT(method.NumTrainableParameters(), params_before);
+  // 8 QA examples in batches of 3: ceil(8 / 3) = 3 steps per epoch.
+  constexpr size_t kQaSteps = 3 * 3;
+  EXPECT_EQ(obs::Registry::CounterDelta(before, after, "trainer/steps"),
+            kQaSteps);
+  EXPECT_EQ(obs::Registry::CounterDelta(before, after, "trainer/examples"),
+            kQaSteps * options.batch_size);
 }
 
 // Miniature end-to-end integration: pretrain a tiny base model on half a
