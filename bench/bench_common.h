@@ -68,10 +68,10 @@ inline eval::ExperimentConfig MakeConfig(const util::Flags& flags,
   config.downstream_cap =
       static_cast<size_t>(flags.GetInt("downstream_cap", 24));
   config.cache_dir = flags.GetString("cache_dir", "model_cache");
-  config.checkpoint_dir = flags.GetString("checkpoint_dir", "");
-  config.checkpoint_every =
+  config.checkpoint.dir = flags.GetString("checkpoint_dir", "");
+  config.checkpoint.every_n_steps =
       static_cast<size_t>(flags.GetInt("checkpoint_every", 250));
-  config.resume = flags.GetBool("resume", true);
+  config.checkpoint.resume = flags.GetBool("resume", true);
   return config;
 }
 
@@ -124,10 +124,11 @@ class ObsSession {
     manifest_.AddConfig("pretrain_steps",
                         static_cast<int64_t>(config.pretrain_steps));
     manifest_.AddConfig("eval_cap", static_cast<int64_t>(config.eval_cap));
-    if (!config.checkpoint_dir.empty()) {
-      manifest_.AddConfig("checkpoint_dir", config.checkpoint_dir);
-      manifest_.AddConfig("checkpoint_every",
-                          static_cast<int64_t>(config.checkpoint_every));
+    if (!config.checkpoint.dir.empty()) {
+      manifest_.AddConfig("checkpoint_dir", config.checkpoint.dir);
+      manifest_.AddConfig(
+          "checkpoint_every",
+          static_cast<int64_t>(config.checkpoint.every_n_steps));
     }
   }
 

@@ -440,9 +440,7 @@ int RunResumeSmoke(const std::string& dir) {
   spec.lr = 1e-3f;
   spec.seed = 11;
   spec.cache_dir = "";  // always train; the point is the training loop
-  spec.checkpoint_dir = dir;
-  spec.checkpoint_every_n_steps = 20;
-  spec.checkpoint_keep_last = 3;
+  spec.checkpoint = {.dir = dir, .every_n_steps = 20, .keep_last = 3};
   model::PretrainedModel model = model::PretrainOrLoad(spec);
 
   uint32_t crc = 0;

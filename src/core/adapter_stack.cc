@@ -58,27 +58,16 @@ bool KnowledgeAdapterStack::IsAdapted(int layer) const {
          layer_to_slot_[static_cast<size_t>(layer)] >= 0;
 }
 
-Tensor KnowledgeAdapterStack::FfnDelta(int layer, const Tensor& ffn_input) {
-  if (options_.placement != AdapterPlacement::kFfn) return Tensor();
-  return Delta(layer, ffn_input);
-}
-
-Tensor KnowledgeAdapterStack::AttnDelta(int layer,
-                                        const Tensor& attn_input) {
-  if (options_.placement != AdapterPlacement::kAttention) return Tensor();
-  return Delta(layer, attn_input);
-}
-
-Tensor KnowledgeAdapterStack::Delta(int layer,
-                                    const Tensor& sublayer_input) {
-  if (!IsAdapted(layer)) return Tensor();
+Tensor KnowledgeAdapterStack::Delta(AdapterPlacement sublayer, int layer,
+                                    const Tensor& input) {
+  if (sublayer != options_.placement || !IsAdapted(layer)) return Tensor();
   const LayerAdapter& slot =
       slots_[static_cast<size_t>(layer_to_slot_[static_cast<size_t>(layer)])];
 
   // Eqs. 1-2: H_A^l, carried to the next layer.
-  chain_ = model::AdapterChainStep(sublayer_input, chain_,
-                                   slot.down->weight(), slot.down->bias(),
-                                   slot.up->weight(), slot.up->bias());
+  chain_ = model::AdapterChainStep(input, chain_, slot.down->weight(),
+                                   slot.down->bias(), slot.up->weight(),
+                                   slot.up->bias());
 
   if (!options_.use_infuser) {
     // InfuserKI-w/o-Ro: the raw adapter output merges unconditionally
@@ -88,8 +77,7 @@ Tensor KnowledgeAdapterStack::Delta(int layer,
 
   // Eq. 4: infusing score from the mean internal state. Pooling over the
   // whole sequence is what makes the gated stack SequenceStateful().
-  Tensor pooled =
-      tensor::Reshape(tensor::MeanAxis0(sublayer_input), {1, model_dim_});
+  Tensor pooled = tensor::Reshape(tensor::MeanAxis0(input), {1, model_dim_});
   Tensor logit = tensor::MulScalar(
       tensor::Reshape(slot.infuser->Forward(pooled), {1}),
       options_.gate_sharpness);

@@ -46,17 +46,15 @@ struct AdapterStackOptions {
 /// adapted layers only. One Infuser MLP per adapted layer scores how well
 /// the base model "knows" the current input from its internal state H_P^l.
 ///
-/// The same object serves as an FfnHook or an AttnHook depending on
-/// `placement`; the transformer calls exactly one of the two entry points
-/// per sublayer.
-class KnowledgeAdapterStack : public model::FfnHook,
-                              public model::AttnHook,
+/// The stack contributes on the `placement` sublayer only; Delta() for the
+/// other sublayer returns an undefined tensor and leaves the chain alone.
+class KnowledgeAdapterStack : public model::SublayerHook,
                               public tensor::Module {
  public:
   KnowledgeAdapterStack(size_t model_dim, size_t num_layers,
                         const AdapterStackOptions& options);
 
-  // model::FfnHook / model::AttnHook:
+  // model::SublayerHook:
   void BeginForward() override;
   /// The Infuser gate pools Mean(H_P^l) over every position of the forward
   /// (Eq. 4), so the gated stack is sequence-stateful: its full-sequence
@@ -64,9 +62,8 @@ class KnowledgeAdapterStack : public model::FfnHook,
   /// full-recompute path for it. Without the Infuser (w/o-Ro ablation) the
   /// delta is row-wise and KV-cached decoding applies.
   bool SequenceStateful() const override { return options_.use_infuser; }
-  tensor::Tensor FfnDelta(int layer, const tensor::Tensor& ffn_input) override;
-  tensor::Tensor AttnDelta(int layer,
-                           const tensor::Tensor& attn_input) override;
+  tensor::Tensor Delta(model::AdapterAttachment sublayer, int layer,
+                       const tensor::Tensor& input) override;
 
   /// True when `layer` carries an adapter.
   bool IsAdapted(int layer) const;
@@ -113,8 +110,6 @@ class KnowledgeAdapterStack : public model::FfnHook,
   const AdapterStackOptions& options() const { return options_; }
 
  private:
-  tensor::Tensor Delta(int layer, const tensor::Tensor& sublayer_input);
-
   struct LayerAdapter {
     std::unique_ptr<tensor::Linear> down;  // [d -> d']
     std::unique_ptr<tensor::Linear> up;    // [d' -> d]

@@ -2,7 +2,6 @@
 
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/threadpool.h"
 
 namespace infuserki::core {
 
@@ -35,24 +34,12 @@ DetectionResult DetectKnowledge(const model::TransformerLM& lm,
     max_index = std::max(max_index, mcq.triplet_index);
   }
   result.is_known.assign(max_index + 1, 0);
-  // Questions are independent, so fan out across the pool when the forward
-  // is stateless (hooks are mutated during a forward and must serialize;
-  // the read-only prefix is safe to share). Answers are collected by index
-  // and aggregated sequentially, so known/unknown ordering matches the
-  // sequential loop exactly.
+  // Answers are collected by index and aggregated sequentially, so
+  // known/unknown ordering matches the sequential loop exactly.
   std::vector<int> chosen(questions.size(), -1);
-  bool stateless =
-      options.ffn_hook == nullptr && options.attn_hook == nullptr &&
-      options.trace == nullptr;
-  if (stateless) {
-    util::ParallelForEach(questions.size(), [&](size_t i) {
-      chosen[i] = AnswerMcq(lm, tokenizer, questions[i], mode, options);
-    });
-  } else {
-    for (size_t i = 0; i < questions.size(); ++i) {
-      chosen[i] = AnswerMcq(lm, tokenizer, questions[i], mode, options);
-    }
-  }
+  model::ForEachIndependentForward(questions.size(), options, [&](size_t i) {
+    chosen[i] = AnswerMcq(lm, tokenizer, questions[i], mode, options);
+  });
   for (size_t i = 0; i < questions.size(); ++i) {
     const kg::Mcq& mcq = questions[i];
     // An unextractable answer counts as incorrect (§3.2).

@@ -86,11 +86,7 @@ InfuserKi::InfuserKi(model::TransformerLM* lm,
 
 model::ForwardOptions InfuserKi::Forward() {
   model::ForwardOptions forward;
-  if (options_.adapters.placement == AdapterPlacement::kFfn) {
-    forward.ffn_hook = &stack_;
-  } else {
-    forward.attn_hook = &stack_;
-  }
+  forward.hook = &stack_;
   return forward;
 }
 

@@ -5,26 +5,8 @@
 #include "eval/metrics.h"
 #include "model/generation.h"
 #include "util/logging.h"
-#include "util/threadpool.h"
 
 namespace infuserki::eval {
-namespace {
-
-/// Runs `fn(i)` for i in [0, n), fanning out across the global pool when
-/// the forward carries no mutable per-forward state (hooks are mutated
-/// during a forward and must serialize; the read-only prefix is safe).
-void ForEachItem(size_t n, const model::ForwardOptions& options,
-                 const std::function<void(size_t)>& fn) {
-  bool stateless = options.ffn_hook == nullptr &&
-                   options.attn_hook == nullptr && options.trace == nullptr;
-  if (stateless) {
-    util::ParallelForEach(n, fn);
-  } else {
-    for (size_t i = 0; i < n; ++i) fn(i);
-  }
-}
-
-}  // namespace
 
 std::vector<ClaimItem> BuildClaimVerificationTask(
     const kg::KnowledgeGraph& kg, const kg::TemplateEngine& templates,
@@ -69,7 +51,7 @@ double EvaluateClaimTask(const model::TransformerLM& lm,
   std::vector<int> predictions(items.size());
   std::vector<int> labels(items.size());
   const std::vector<std::string> yes_no = {"no", "yes"};
-  ForEachItem(items.size(), options, [&](size_t i) {
+  model::ForEachIndependentForward(items.size(), options, [&](size_t i) {
     model::OptionScores scores =
         model::ScoreOptions(lm, tokenizer, items[i].prompt, yes_no, options);
     predictions[i] = scores.best;
@@ -166,7 +148,7 @@ double Evaluate2HopTask(const model::TransformerLM& lm,
   CHECK(!items.empty());
   std::vector<int> predictions(items.size());
   std::vector<int> labels(items.size());
-  ForEachItem(items.size(), options, [&](size_t i) {
+  model::ForEachIndependentForward(items.size(), options, [&](size_t i) {
     model::OptionScores scores = model::ScoreOptions(
         lm, tokenizer, items[i].prompt, items[i].candidates, options);
     predictions[i] = scores.best;
@@ -182,7 +164,7 @@ double Evaluate1HopTask(const model::TransformerLM& lm,
   CHECK(!items.empty());
   std::vector<int> predictions(items.size());
   std::vector<int> labels(items.size());
-  ForEachItem(items.size(), options, [&](size_t i) {
+  model::ForEachIndependentForward(items.size(), options, [&](size_t i) {
     model::OptionScores scores = model::ScoreOptions(
         lm, tokenizer, items[i].prompt, items[i].candidates, options);
     predictions[i] = scores.best;

@@ -8,7 +8,6 @@
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
-#include "util/threadpool.h"
 
 namespace infuserki::eval {
 namespace {
@@ -66,10 +65,7 @@ void Experiment::BuildCorpusAndPretrain() {
   spec.lr = config_.pretrain_lr;
   spec.seed = config_.seed + 2;
   spec.cache_dir = config_.cache_dir;
-  spec.checkpoint_dir = config_.checkpoint_dir;
-  spec.checkpoint_every_n_steps = config_.checkpoint_every;
-  spec.checkpoint_keep_last = config_.checkpoint_keep_last;
-  spec.resume = config_.resume;
+  spec.checkpoint = config_.checkpoint;
 
   // Facts the base model is supposed to know: seen-template QA,
   // statements, yes/no. A slice of the subset also appears under the
@@ -247,25 +243,15 @@ MethodScores Experiment::EvaluateMethod(
   MethodScores scores;
   scores.method = name;
 
-  // Questions are independent; fan out across the pool when the forward
-  // carries no mutable per-forward state (hooks serialize — they are
-  // mutated during each forward).
-  bool stateless = forward.ffn_hook == nullptr &&
-                   forward.attn_hook == nullptr && forward.trace == nullptr;
   auto mcq_accuracy = [&](const std::vector<kg::Mcq>& set) {
     if (set.empty()) return 0.0;
     std::vector<char> outcomes(set.size(), 0);
-    auto answer_one = [&](size_t i) {
+    model::ForEachIndependentForward(set.size(), forward, [&](size_t i) {
       int chosen =
           core::AnswerMcq(lm, base_.tokenizer, set[i],
                           core::AnswerMode::kLikelihood, forward);
       outcomes[i] = chosen == set[i].correct ? 1 : 0;
-    };
-    if (stateless) {
-      util::ParallelForEach(set.size(), answer_one);
-    } else {
-      for (size_t i = 0; i < set.size(); ++i) answer_one(i);
-    }
+    });
     return MeanRate(outcomes);
   };
 

@@ -36,12 +36,9 @@ struct ExperimentConfig {
   std::string cache_dir = "model_cache";
 
   /// Mid-run durability for the pretraining phase (see model/train_state.h):
-  /// snapshot every N steps into `checkpoint_dir` and resume after a crash.
+  /// snapshot every N steps into `checkpoint.dir` and resume after a crash.
   /// Empty directory or zero interval disables.
-  std::string checkpoint_dir;
-  size_t checkpoint_every = 0;
-  size_t checkpoint_keep_last = 2;
-  bool resume = true;
+  model::CheckpointPolicy checkpoint;
 
   size_t filler_count = 120;     // generic prose docs in pretraining
   size_t known_mix_count = 40;   // known QA replay given to every method

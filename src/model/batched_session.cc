@@ -169,7 +169,7 @@ std::vector<tensor::Tensor> BatchedDecodeSession::Step(
     PositionWiseAdapterHook hook(group_adapters[g]);
     ForwardOptions options = options_;
     if (group_adapters[g] != nullptr) {
-      CHECK(options_.ffn_hook == nullptr && options_.attn_hook == nullptr)
+      CHECK(options_.hook == nullptr)
           << "a row's pinned adapter cannot combine with session hooks";
       options = hook.Options();
       options.prefix = options_.prefix;

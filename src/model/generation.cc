@@ -7,6 +7,7 @@
 #include "obs/metrics.h"
 #include "util/logging.h"
 #include "util/string_util.h"
+#include "util/threadpool.h"
 
 namespace infuserki::model {
 
@@ -19,6 +20,15 @@ int ArgmaxRow(const float* row, size_t vocab) {
     if (row[v] > row[best]) best = static_cast<int>(v);
   }
   return best;
+}
+
+void ForEachIndependentForward(size_t n, const ForwardOptions& options,
+                               const std::function<void(size_t)>& fn) {
+  if (options.hook == nullptr && options.trace == nullptr) {
+    util::ParallelForEach(n, fn);
+  } else {
+    for (size_t i = 0; i < n; ++i) fn(i);
+  }
 }
 
 namespace {

@@ -1,6 +1,7 @@
 #ifndef INFUSERKI_MODEL_GENERATION_H_
 #define INFUSERKI_MODEL_GENERATION_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,15 @@ namespace infuserki::model {
 /// The one greedy pick: GreedyDecode and the serving scheduler both call
 /// it, so their token streams agree bit for bit.
 int ArgmaxRow(const float* row, size_t vocab);
+
+/// Runs fn(i) for every i in [0, n): n mutually independent forwards
+/// under `options`. They fan out across the global pool when `options`
+/// carries no hook and no trace; otherwise they run serially in index
+/// order, because a hook and a trace are mutated during each forward (the
+/// read-only prefix is safe to share). Callers collect results by index,
+/// so the outcome is the same either way.
+void ForEachIndependentForward(size_t n, const ForwardOptions& options,
+                               const std::function<void(size_t)>& fn);
 
 /// Greedy (argmax) decoding. Returns only the newly generated ids; stops at
 /// <eos> or after `max_new_tokens`.

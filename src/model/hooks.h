@@ -2,6 +2,7 @@
 #define INFUSERKI_MODEL_HOOKS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -9,17 +10,26 @@
 
 namespace infuserki::model {
 
-/// Extension point for modules running parallel to the FFN sublayer.
+/// Which sublayer a hook delta belongs to; training names it
+/// core::AdapterPlacement. The values are the on-disk adapter encoding.
+enum class AdapterAttachment : uint32_t {
+  kFfn = 0,
+  kAttention = 1,
+};
+
+/// Extension point for modules running parallel to a transformer sublayer.
 ///
-/// For each transformer layer the model calls FfnDelta() with H_P^l, the
-/// FFN sublayer input (the paper's notation, Eq. 1); whatever tensor the
-/// hook returns is added to the FFN output before the residual connection
-/// (Eqs. 3/6). Returning an undefined Tensor means "no contribution at
-/// this layer". InfuserKI's gated knowledge adapters, CALINET's calibration
-/// adapter and T-Patcher's patch neurons are all implemented as FfnHooks.
+/// For each transformer layer the model calls Delta() twice: with
+/// kAttention and the normalized attention sublayer input, then with kFfn
+/// and H_P^l, the FFN sublayer input (the paper's notation, Eq. 1). The
+/// returned tensor is added to that sublayer's output before the residual
+/// connection (Eqs. 3/6); an undefined Tensor means "no contribution
+/// here". InfuserKI's gated knowledge adapters (on either sublayer, the
+/// Fig. 5 placement ablation), CALINET's calibration adapter and
+/// T-Patcher's patch neurons are all SublayerHooks.
 ///
 /// Cached decode protocol: on the KV-cached path (BatchedDecodeSession)
-/// each forward calls BeginForward() and then feeds FfnDelta only the NEW
+/// each forward calls BeginForward() and then feeds Delta only the NEW
 /// rows, packed across every row of the batch. A hook whose delta for a
 /// row depends only on that row (position-wise: CALINET, T-Patcher, and
 /// the adapter chain without the Infuser gate) is therefore bit-identical
@@ -29,9 +39,9 @@ namespace infuserki::model {
 /// later rows through the pooled gate), so no cached pass can reproduce it
 /// bit-exactly, and the generation layer routes such forwards to the
 /// full-recompute path instead of a session (see DESIGN.md §7).
-class FfnHook {
+class SublayerHook {
  public:
-  virtual ~FfnHook() = default;
+  virtual ~SublayerHook() = default;
 
   /// Called once per forward pass before any layer runs; stateful hooks
   /// (e.g. InfuserKI's cross-layer adapter chain) reset here.
@@ -42,26 +52,9 @@ class FfnHook {
   /// incompatible with KV-cached decoding.
   virtual bool SequenceStateful() const { return false; }
 
-  /// `layer` is 0-based. `ffn_input` is H_P^l with shape [T, D].
-  virtual tensor::Tensor FfnDelta(int layer,
-                                  const tensor::Tensor& ffn_input) = 0;
-};
-
-/// Extension point parallel to the attention sublayer (used by the
-/// adapter-position ablation of Fig. 5, "3-32nd attention layers").
-/// Follows the same cached decode protocol as FfnHook.
-class AttnHook {
- public:
-  virtual ~AttnHook() = default;
-
-  virtual void BeginForward() {}
-
-  virtual bool SequenceStateful() const { return false; }
-
-  /// `attn_input` is the normalized attention sublayer input, [T, D]; the
-  /// returned delta is added to the attention sublayer output.
-  virtual tensor::Tensor AttnDelta(int layer,
-                                   const tensor::Tensor& attn_input) = 0;
+  /// `layer` is 0-based; `input` is the `sublayer` input, shape [T, D].
+  virtual tensor::Tensor Delta(AdapterAttachment sublayer, int layer,
+                               const tensor::Tensor& input) = 0;
 };
 
 /// Learned per-layer prefix key/value rows for prefix tuning. keys[l] and
@@ -84,8 +77,7 @@ struct ForwardTrace {
 
 /// Per-call forward configuration.
 struct ForwardOptions {
-  FfnHook* ffn_hook = nullptr;
-  AttnHook* attn_hook = nullptr;
+  SublayerHook* hook = nullptr;
   const PrefixKv* prefix = nullptr;
   ForwardTrace* trace = nullptr;
 };
@@ -94,10 +86,7 @@ struct ForwardOptions {
 /// sequence; forwards with such hooks must take the full-recompute path
 /// instead of a BatchedDecodeSession.
 inline bool HasSequenceStatefulHook(const ForwardOptions& options) {
-  return (options.ffn_hook != nullptr &&
-          options.ffn_hook->SequenceStateful()) ||
-         (options.attn_hook != nullptr &&
-          options.attn_hook->SequenceStateful());
+  return options.hook != nullptr && options.hook->SequenceStateful();
 }
 
 }  // namespace infuserki::model

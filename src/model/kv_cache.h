@@ -41,7 +41,7 @@ struct LayerKv {
 /// what makes the cross-thread PrefixCache sharing in serve/ safe.
 class KvCache {
  public:
-  explicit KvCache(size_t num_layers, size_t num_slots = 1)
+  explicit KvCache(size_t num_layers, size_t num_slots)
       : num_layers_(num_layers), slots_(num_slots) {
     for (Slot& slot : slots_) slot.layers.resize(num_layers);
   }
@@ -50,29 +50,29 @@ class KvCache {
   size_t num_slots() const { return slots_.size(); }
 
   /// Token positions cached so far in `slot` (excludes prefix-tuning rows).
-  size_t tokens(size_t slot = 0) const { return at(slot).tokens; }
+  size_t tokens(size_t slot) const { return at(slot).tokens; }
 
   /// Prefix-tuning rows per layer in `slot` (0 without prefix tuning).
-  size_t prefix_rows(size_t slot = 0) const { return at(slot).prefix_rows; }
+  size_t prefix_rows(size_t slot) const { return at(slot).prefix_rows; }
 
-  LayerKv* layer(size_t i, size_t slot = 0) {
+  LayerKv* layer(size_t i, size_t slot) {
     return &slots_.at(slot).layers.at(i);
   }
-  const LayerKv* layer(size_t i, size_t slot = 0) const {
+  const LayerKv* layer(size_t i, size_t slot) const {
     return &slots_.at(slot).layers.at(i);
   }
 
-  bool seeded(size_t slot = 0) const { return at(slot).seeded; }
+  bool seeded(size_t slot) const { return at(slot).seeded; }
 
   /// One-time seeding of `slot` with prefix-tuning K/V rows (nullptr when
   /// the forward has no prefix). Must run before the slot's first
   /// incremental forward so the prefix rows occupy the head of every
   /// layer's page.
-  void SeedPrefix(const PrefixKv* prefix, size_t slot = 0);
+  void SeedPrefix(const PrefixKv* prefix, size_t slot);
 
   /// Bumps `slot`'s cached-token count after a chunked forward appended
   /// `count` rows to every one of its layer pages.
-  void AdvanceTokens(size_t count, size_t slot = 0) {
+  void AdvanceTokens(size_t count, size_t slot) {
     slots_.at(slot).tokens += count;
   }
 

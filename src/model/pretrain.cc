@@ -194,14 +194,11 @@ PretrainedModel PretrainOrLoad(const PretrainSpec& spec) {
   trainer_options.batch_size = spec.batch_size;
   trainer_options.seed = spec.seed + 1;
   LmTrainer trainer(model.lm.get(), model.lm->Parameters(), trainer_options);
-  CheckpointPolicy policy;
-  if (!spec.checkpoint_dir.empty() && spec.checkpoint_every_n_steps > 0) {
+  CheckpointPolicy policy = spec.checkpoint;
+  if (policy.enabled()) {
     // Keyed by fingerprint so concurrent runs with different specs never
     // resume from each other's snapshots.
-    policy.dir = spec.checkpoint_dir + "/pretrain_" + FingerprintHex(spec);
-    policy.every_n_steps = spec.checkpoint_every_n_steps;
-    policy.keep_last = spec.checkpoint_keep_last;
-    policy.resume = spec.resume;
+    policy.dir += "/pretrain_" + FingerprintHex(spec);
   }
   util::Stopwatch watch;
   {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "model/config.h"
+#include "model/train_state.h"
 #include "model/transformer.h"
 #include "text/tokenizer.h"
 #include "util/status.h"
@@ -37,14 +38,12 @@ struct PretrainSpec {
   /// Directory for cached models; empty disables caching.
   std::string cache_dir;
 
-  /// Mid-run durability (see model/train_state.h). These knobs do not
-  /// change what is trained, only how the run survives crashes, so they
-  /// are deliberately excluded from Fingerprint(): an interrupted run and
-  /// a clean one produce (and cache) the same model.
-  std::string checkpoint_dir;
-  size_t checkpoint_every_n_steps = 0;
-  size_t checkpoint_keep_last = 2;
-  bool resume = true;
+  /// Mid-run durability (see model/train_state.h). The policy does not
+  /// change what is trained, only how the run survives crashes, so it is
+  /// deliberately excluded from Fingerprint(): an interrupted run and a
+  /// clean one produce (and cache) the same model. Snapshots go to
+  /// `checkpoint.dir + "/pretrain_<fingerprint>"`.
+  CheckpointPolicy checkpoint;
 
   uint64_t Fingerprint() const;
 };
@@ -72,7 +71,7 @@ util::Status LoadCachedModel(const std::string& path,
 /// parameters are left trainable (callers freeze them for PEFT).
 ///
 /// Robustness: a corrupt cache file is quarantined (renamed `.corrupt`)
-/// and the model is retrained from scratch; with `checkpoint_dir` set the
+/// and the model is retrained from scratch; with `checkpoint` enabled the
 /// training loop itself snapshots and resumes per the spec's policy.
 PretrainedModel PretrainOrLoad(const PretrainSpec& spec);
 

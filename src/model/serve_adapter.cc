@@ -50,34 +50,20 @@ const PositionWiseAdapter::LayerWeights* PositionWiseAdapter::Find(
 }
 
 Tensor PositionWiseAdapterHook::Delta(AdapterAttachment sublayer, int layer,
-                                      const Tensor& sublayer_input) {
+                                      const Tensor& input) {
   if (adapter_ == nullptr || adapter_->attachment() != sublayer) {
     return Tensor();
   }
   const PositionWiseAdapter::LayerWeights* slot = adapter_->Find(layer);
   if (slot == nullptr) return Tensor();
-  chain_ = AdapterChainStep(sublayer_input, chain_, slot->down_weight,
+  chain_ = AdapterChainStep(input, chain_, slot->down_weight,
                             slot->down_bias, slot->up_weight, slot->up_bias);
   return chain_;
 }
 
-Tensor PositionWiseAdapterHook::FfnDelta(int layer, const Tensor& ffn_input) {
-  return Delta(AdapterAttachment::kFfn, layer, ffn_input);
-}
-
-Tensor PositionWiseAdapterHook::AttnDelta(int layer,
-                                          const Tensor& attn_input) {
-  return Delta(AdapterAttachment::kAttention, layer, attn_input);
-}
-
 ForwardOptions PositionWiseAdapterHook::Options() {
   ForwardOptions options;
-  if (adapter_ == nullptr) return options;
-  if (adapter_->attachment() == AdapterAttachment::kFfn) {
-    options.ffn_hook = this;
-  } else {
-    options.attn_hook = this;
-  }
+  if (adapter_ != nullptr) options.hook = this;
   return options;
 }
 

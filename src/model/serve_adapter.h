@@ -2,20 +2,12 @@
 #define INFUSERKI_MODEL_SERVE_ADAPTER_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "model/hooks.h"
 #include "tensor/tensor.h"
 
 namespace infuserki::model {
-
-/// Which sublayer the adapter chain attaches to; training names it
-/// core::AdapterPlacement. The values are the on-disk adapter encoding.
-enum class AdapterAttachment : uint32_t {
-  kFfn = 0,
-  kAttention = 1,
-};
 
 /// One step of the knowledge-adapter chain (Eqs. 1-2), shared by the
 /// training-side core::KnowledgeAdapterStack and the serving-side
@@ -81,13 +73,13 @@ class PositionWiseAdapter {
   std::vector<LayerWeights> layers_;
 };
 
-/// FfnHook/AttnHook that runs a PositionWiseAdapter through the ordinary
+/// SublayerHook that runs a PositionWiseAdapter through the ordinary
 /// ForwardOptions plumbing — on the full-recompute path and on the
 /// batched session, which serves every pinned adapter version through one
 /// of these (DESIGN.md §12). Position-wise (SequenceStateful() stays
 /// false). Holds the per-forward chain H_A^{l-1}: one hook instance per
 /// concurrent forward, not shared across threads.
-class PositionWiseAdapterHook : public FfnHook, public AttnHook {
+class PositionWiseAdapterHook : public SublayerHook {
  public:
   /// `adapter` may be nullptr (base model: no deltas, empty Options()).
   /// Not owned; must outlive the hook.
@@ -96,20 +88,17 @@ class PositionWiseAdapterHook : public FfnHook, public AttnHook {
 
   void BeginForward() override { chain_ = tensor::Tensor(); }
 
-  tensor::Tensor FfnDelta(int layer, const tensor::Tensor& ffn_input) override;
-  tensor::Tensor AttnDelta(int layer,
-                           const tensor::Tensor& attn_input) override;
+  /// Adapter delta for `layer` on the adapter's attachment sublayer
+  /// (undefined elsewhere and for unadapted layers, which leave the chain
+  /// untouched), advancing the chain.
+  tensor::Tensor Delta(AdapterAttachment sublayer, int layer,
+                       const tensor::Tensor& input) override;
 
-  /// ForwardOptions wired to this hook on the attachment's sublayer
-  /// (empty options when constructed with a null adapter).
+  /// ForwardOptions wired to this hook (empty options when constructed
+  /// with a null adapter).
   ForwardOptions Options();
 
  private:
-  /// Adapter delta for `layer` (undefined for unadapted layers, which
-  /// leave the chain untouched), advancing the chain.
-  tensor::Tensor Delta(AdapterAttachment sublayer, int layer,
-                       const tensor::Tensor& sublayer_input);
-
   const PositionWiseAdapter* adapter_;
   tensor::Tensor chain_;  // H_A^{l-1} of the current forward
 };

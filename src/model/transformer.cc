@@ -68,8 +68,9 @@ Tensor TransformerLayer::Forward(const Tensor& x,
   CHECK_EQ(offset, q.dim(0));
   Tensor attn_out = wo_.Forward(tensor::CausalSelfAttentionRagged(
       q, keys, values, row_lens, num_heads_));
-  if (options.attn_hook != nullptr) {
-    Tensor delta = options.attn_hook->AttnDelta(layer_index, attn_in);
+  if (options.hook != nullptr) {
+    Tensor delta = options.hook->Delta(AdapterAttachment::kAttention,
+                                       layer_index, attn_in);
     if (delta.defined()) attn_out = tensor::Add(attn_out, delta);
   }
   Tensor h = tensor::Add(x, attn_out);
@@ -82,8 +83,9 @@ Tensor TransformerLayer::Forward(const Tensor& x,
   Tensor gate = tensor::Silu(ffn_gate_.Forward(ffn_in));
   Tensor up = ffn_up_.Forward(ffn_in);
   Tensor ffn_out = ffn_down_.Forward(tensor::Mul(gate, up));
-  if (options.ffn_hook != nullptr) {
-    Tensor delta = options.ffn_hook->FfnDelta(layer_index, ffn_in);
+  if (options.hook != nullptr) {
+    Tensor delta =
+        options.hook->Delta(AdapterAttachment::kFfn, layer_index, ffn_in);
     if (delta.defined()) ffn_out = tensor::Add(ffn_out, delta);
   }
   return tensor::Add(h, ffn_out);
@@ -112,8 +114,7 @@ Tensor TransformerLM::PackedHidden(
     const std::vector<size_t>& row_lens,
     const std::vector<std::vector<LayerKv*>>& pages,
     const ForwardOptions& options) const {
-  if (options.ffn_hook != nullptr) options.ffn_hook->BeginForward();
-  if (options.attn_hook != nullptr) options.attn_hook->BeginForward();
+  if (options.hook != nullptr) options.hook->BeginForward();
   if (options.trace != nullptr) {
     options.trace->ffn_inputs.clear();
     options.trace->layer_outputs.clear();

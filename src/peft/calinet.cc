@@ -24,17 +24,18 @@ CalinetMethod::CalinetMethod(model::TransformerLM* lm,
                                   /*requires_grad=*/true);
 }
 
-tensor::Tensor CalinetMethod::FfnDelta(int layer,
-                                       const tensor::Tensor& ffn_input) {
-  if (layer != layer_) return tensor::Tensor();
-  tensor::Tensor activation =
-      tensor::Gelu(tensor::MatmulNT(ffn_input, keys_));
+tensor::Tensor CalinetMethod::Delta(model::AdapterAttachment sublayer,
+                                    int layer, const tensor::Tensor& input) {
+  if (sublayer != model::AdapterAttachment::kFfn || layer != layer_) {
+    return tensor::Tensor();
+  }
+  tensor::Tensor activation = tensor::Gelu(tensor::MatmulNT(input, keys_));
   return tensor::Matmul(activation, values_);
 }
 
 model::ForwardOptions CalinetMethod::Forward() {
   model::ForwardOptions forward;
-  forward.ffn_hook = this;
+  forward.hook = this;
   return forward;
 }
 

@@ -26,7 +26,7 @@ struct CalinetOptions {
   uint64_t seed = 19;
 };
 
-class CalinetMethod : public core::KiMethod, public model::FfnHook {
+class CalinetMethod : public core::KiMethod, public model::SublayerHook {
  public:
   CalinetMethod(model::TransformerLM* lm, const CalinetOptions& options);
 
@@ -35,9 +35,9 @@ class CalinetMethod : public core::KiMethod, public model::FfnHook {
   model::ForwardOptions Forward() override;
   size_t NumTrainableParameters() const override;
 
-  // model::FfnHook:
-  tensor::Tensor FfnDelta(int layer,
-                          const tensor::Tensor& ffn_input) override;
+  // model::SublayerHook (FFN side only):
+  tensor::Tensor Delta(model::AdapterAttachment sublayer, int layer,
+                       const tensor::Tensor& input) override;
 
   int adapted_layer() const { return layer_; }
 

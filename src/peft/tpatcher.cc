@@ -28,17 +28,20 @@ void TPatcherMethod::InitPatches(size_t count) {
   values_ = tensor::Tensor::Zeros({count, dim}, /*requires_grad=*/true);
 }
 
-tensor::Tensor TPatcherMethod::FfnDelta(int layer,
-                                        const tensor::Tensor& ffn_input) {
-  if (layer != last_layer_ || !keys_.defined()) return tensor::Tensor();
+tensor::Tensor TPatcherMethod::Delta(model::AdapterAttachment sublayer,
+                                     int layer, const tensor::Tensor& input) {
+  if (sublayer != model::AdapterAttachment::kFfn || layer != last_layer_ ||
+      !keys_.defined()) {
+    return tensor::Tensor();
+  }
   tensor::Tensor activation = tensor::Relu(
-      tensor::Add(tensor::MatmulNT(ffn_input, keys_), bias_));
+      tensor::Add(tensor::MatmulNT(input, keys_), bias_));
   return tensor::Matmul(activation, values_);
 }
 
 model::ForwardOptions TPatcherMethod::Forward() {
   model::ForwardOptions forward;
-  forward.ffn_hook = this;
+  forward.hook = this;
   return forward;
 }
 

@@ -24,7 +24,7 @@ struct TPatcherOptions {
   uint64_t seed = 23;
 };
 
-class TPatcherMethod : public core::KiMethod, public model::FfnHook {
+class TPatcherMethod : public core::KiMethod, public model::SublayerHook {
  public:
   TPatcherMethod(model::TransformerLM* lm, const TPatcherOptions& options);
 
@@ -33,9 +33,9 @@ class TPatcherMethod : public core::KiMethod, public model::FfnHook {
   model::ForwardOptions Forward() override;
   size_t NumTrainableParameters() const override;
 
-  // model::FfnHook:
-  tensor::Tensor FfnDelta(int layer,
-                          const tensor::Tensor& ffn_input) override;
+  // model::SublayerHook (FFN side only):
+  tensor::Tensor Delta(model::AdapterAttachment sublayer, int layer,
+                       const tensor::Tensor& input) override;
 
   size_t num_patches() const {
     return keys_.defined() ? keys_.dim(0) : 0;

@@ -333,27 +333,6 @@ Tensor MatmulNT(const Tensor& a, const Tensor& b) {
       });
 }
 
-Tensor Transpose(const Tensor& a) {
-  CHECK_EQ(a.rank(), size_t{2});
-  size_t m = a.dim(0), n = a.dim(1);
-  std::vector<float> out(m * n);
-  const float* in = a.data();
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t j = 0; j < n; ++j) out[j * m + i] = in[i * n + j];
-  }
-  return Tensor::MakeOpResult(
-      {n, m}, std::move(out), {a}, [a, m, n](TensorImpl* result) {
-        result->backward_fn = [a, m, n, result]() {
-          if (!a.requires_grad()) return;
-          float* ag = a.impl()->MutableGrad();
-          const float* g = result->grad.data();
-          for (size_t j = 0; j < n; ++j) {
-            for (size_t i = 0; i < m; ++i) ag[i * n + j] += g[j * m + i];
-          }
-        };
-      });
-}
-
 Tensor Reshape(const Tensor& a, Shape shape) {
   CHECK_EQ(NumElements(shape), a.size());
   return Tensor::MakeOpResult(

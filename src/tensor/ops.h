@@ -31,9 +31,6 @@ Tensor Matmul(const Tensor& a, const Tensor& b);
 /// the natural layout for weight matrices stored as [out, in].
 Tensor MatmulNT(const Tensor& a, const Tensor& b);
 
-/// 2-D transpose (copies).
-Tensor Transpose(const Tensor& a);
-
 /// Same data, new shape (NumElements must match).
 Tensor Reshape(const Tensor& a, Shape shape);
 

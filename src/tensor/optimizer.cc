@@ -24,23 +24,19 @@ float ClipGradNorm(const std::vector<Tensor>& params, float max_norm) {
   return norm;
 }
 
-Optimizer::Optimizer(std::vector<Tensor> params)
-    : params_(std::move(params)) {
-  for (const Tensor& p : params_) CHECK(p.defined());
-}
-
-void Optimizer::ZeroGrad() {
-  for (Tensor& p : params_) p.ZeroGrad();
-}
-
 AdamW::AdamW(std::vector<Tensor> params, Options options)
-    : Optimizer(std::move(params)), options_(options) {
+    : params_(std::move(params)), options_(options) {
+  for (const Tensor& p : params_) CHECK(p.defined());
   m_.resize(params_.size());
   v_.resize(params_.size());
   for (size_t i = 0; i < params_.size(); ++i) {
     m_[i].assign(params_[i].size(), 0.0f);
     v_[i].assign(params_[i].size(), 0.0f);
   }
+}
+
+void AdamW::ZeroGrad() {
+  for (Tensor& p : params_) p.ZeroGrad();
 }
 
 void AdamW::Step() {
@@ -116,34 +112,6 @@ util::Status AdamW::Deserialize(util::BinaryReader* reader) {
   }
   step_ = static_cast<int64_t>(step);
   return util::Status::OK();
-}
-
-Sgd::Sgd(std::vector<Tensor> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  if (momentum_ != 0.0f) {
-    velocity_.resize(params_.size());
-    for (size_t i = 0; i < params_.size(); ++i) {
-      velocity_[i].assign(params_[i].size(), 0.0f);
-    }
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    Tensor& p = params_[i];
-    if (p.grad().empty()) continue;
-    float* w = p.data();
-    const float* g = p.grad().data();
-    if (momentum_ == 0.0f) {
-      for (size_t j = 0; j < p.size(); ++j) w[j] -= lr_ * g[j];
-    } else {
-      float* vel = velocity_[i].data();
-      for (size_t j = 0; j < p.size(); ++j) {
-        vel[j] = momentum_ * vel[j] + g[j];
-        w[j] -= lr_ * vel[j];
-      }
-    }
-  }
 }
 
 }  // namespace infuserki::tensor

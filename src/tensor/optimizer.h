@@ -13,30 +13,9 @@ namespace infuserki::tensor {
 /// `max_norm`. Returns the pre-clip norm.
 float ClipGradNorm(const std::vector<Tensor>& params, float max_norm);
 
-/// Optimizer base: holds the parameter list and zeroes gradients.
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Tensor> params);
-  virtual ~Optimizer() = default;
-
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
-
-  /// Applies one update from the accumulated gradients.
-  virtual void Step() = 0;
-
-  /// Clears all parameter gradients.
-  void ZeroGrad();
-
-  const std::vector<Tensor>& params() const { return params_; }
-
- protected:
-  std::vector<Tensor> params_;
-};
-
 /// Decoupled weight decay Adam (Loshchilov & Hutter, 2018) — the optimizer
-/// used in the paper's experiments (§4.1).
-class AdamW : public Optimizer {
+/// used in the paper's experiments (§4.1) and by every trainer here.
+class AdamW {
  public:
   struct Options {
     float lr = 1e-3f;
@@ -48,7 +27,16 @@ class AdamW : public Optimizer {
 
   AdamW(std::vector<Tensor> params, Options options);
 
-  void Step() override;
+  AdamW(const AdamW&) = delete;
+  AdamW& operator=(const AdamW&) = delete;
+
+  /// Applies one update from the accumulated gradients.
+  void Step();
+
+  /// Clears all parameter gradients.
+  void ZeroGrad();
+
+  const std::vector<Tensor>& params() const { return params_; }
 
   /// Appends the full optimizer state — parameter values, first/second
   /// moments, and the bias-correction step counter — to `writer`,
@@ -70,26 +58,11 @@ class AdamW : public Optimizer {
   int64_t step_count() const { return step_; }
 
  private:
+  std::vector<Tensor> params_;
   Options options_;
   int64_t step_ = 0;
   std::vector<std::vector<float>> m_;
   std::vector<std::vector<float>> v_;
-};
-
-/// Plain SGD with optional momentum; used by tests and a couple of
-/// baselines' inner loops.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, float lr, float momentum = 0.0f);
-
-  void Step() override;
-
-  void set_lr(float lr) { lr_ = lr; }
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<std::vector<float>> velocity_;
 };
 
 }  // namespace infuserki::tensor

@@ -23,13 +23,6 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents,
       retry, path);
 }
 
-Status AtomicFileWriter::Commit() {
-  CHECK(!committed_) << "AtomicFileWriter::Commit() called twice for "
-                     << path_;
-  committed_ = true;
-  return WriteFileAtomic(path_, buffer_.str(), fault_point_);
-}
-
 Status QuarantineFile(const std::string& path) {
   std::error_code ec;
   if (!std::filesystem::exists(path, ec)) {

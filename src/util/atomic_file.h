@@ -1,7 +1,6 @@
 #ifndef INFUSERKI_UTIL_ATOMIC_FILE_H_
 #define INFUSERKI_UTIL_ATOMIC_FILE_H_
 
-#include <sstream>
 #include <string>
 #include <string_view>
 
@@ -19,32 +18,6 @@ namespace infuserki::util {
 Status WriteFileAtomic(const std::string& path, std::string_view contents,
                        const std::string& fault_point = "io/atomic_write",
                        const RetryOptions& retry = {});
-
-/// Buffered convenience wrapper around WriteFileAtomic for call sites that
-/// build output incrementally: stream into `stream()`, then Commit() once.
-/// Nothing touches the filesystem until Commit(); a destroyed, uncommitted
-/// writer leaves no trace on disk.
-class AtomicFileWriter {
- public:
-  explicit AtomicFileWriter(std::string path,
-                            std::string fault_point = "io/atomic_write")
-      : path_(std::move(path)), fault_point_(std::move(fault_point)) {}
-
-  AtomicFileWriter(const AtomicFileWriter&) = delete;
-  AtomicFileWriter& operator=(const AtomicFileWriter&) = delete;
-
-  std::ostream& stream() { return buffer_; }
-  const std::string& path() const { return path_; }
-
-  /// Writes the buffered bytes via WriteFileAtomic. Call at most once.
-  Status Commit();
-
- private:
-  std::string path_;
-  std::string fault_point_;
-  std::ostringstream buffer_;
-  bool committed_ = false;
-};
 
 /// Moves an unusable file aside to `path + ".corrupt"` (overwriting any
 /// previous quarantine of the same path) so it can be inspected post-mortem

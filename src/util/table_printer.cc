@@ -1,6 +1,7 @@
 #include "util/table_printer.h"
 
 #include <algorithm>
+#include <sstream>
 
 #include "util/atomic_file.h"
 #include "util/logging.h"
@@ -54,17 +55,17 @@ void TablePrinter::Print(std::ostream& os) const {
 Status TablePrinter::WriteCsv(const std::string& path) const {
   // Result tables are run artifacts like any checkpoint or manifest:
   // published atomically so a crash mid-write never leaves a torn CSV.
-  AtomicFileWriter writer(path, "table/write_csv");
+  std::ostringstream out;
   auto write_row = [&](const std::vector<std::string>& row) {
     for (size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) writer.stream() << ",";
-      writer.stream() << CsvEscape(row[c]);
+      if (c > 0) out << ",";
+      out << CsvEscape(row[c]);
     }
-    writer.stream() << "\n";
+    out << "\n";
   };
   write_row(header_);
   for (const auto& row : rows_) write_row(row);
-  return writer.Commit();
+  return WriteFileAtomic(path, out.str(), "table/write_csv");
 }
 
 }  // namespace infuserki::util

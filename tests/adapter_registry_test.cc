@@ -118,10 +118,10 @@ TEST_F(AdapterRegistryTest, ExportMatchesStackDeltasExactly) {
   model::PositionWiseAdapterHook hook(adapter.value().get());
   hook.BeginForward();
   for (size_t l = 0; l < kLayers; ++l) {
-    tensor::Tensor from_stack =
-        stack.FfnDelta(static_cast<int>(l), inputs[l]);
-    tensor::Tensor from_export =
-        hook.FfnDelta(static_cast<int>(l), inputs[l]);
+    tensor::Tensor from_stack = stack.Delta(
+        model::AdapterAttachment::kFfn, static_cast<int>(l), inputs[l]);
+    tensor::Tensor from_export = hook.Delta(
+        model::AdapterAttachment::kFfn, static_cast<int>(l), inputs[l]);
     ASSERT_EQ(from_stack.defined(), from_export.defined()) << "layer " << l;
     if (!from_stack.defined()) continue;
     // Exact float equality: the export must be the same arithmetic, not an

@@ -42,7 +42,7 @@ TEST(AdapterStack, FreshStackIsExactNoOp) {
   util::Rng rng(1);
   for (int layer = 0; layer < 4; ++layer) {
     tensor::Tensor input = tensor::Tensor::Randn({3, 8}, &rng);
-    tensor::Tensor delta = stack.FfnDelta(layer, input);
+    tensor::Tensor delta = stack.Delta(AdapterPlacement::kFfn, layer, input);
     ASSERT_TRUE(delta.defined());
     for (float v : delta.vec()) EXPECT_EQ(v, 0.0f);
   }
@@ -53,8 +53,8 @@ TEST(AdapterStack, NonAdaptedLayerReturnsUndefined) {
   stack.BeginForward();
   util::Rng rng(2);
   tensor::Tensor input = tensor::Tensor::Randn({2, 8}, &rng);
-  EXPECT_FALSE(stack.FfnDelta(0, input).defined());
-  EXPECT_TRUE(stack.FfnDelta(3, input).defined());
+  EXPECT_FALSE(stack.Delta(AdapterPlacement::kFfn, 0, input).defined());
+  EXPECT_TRUE(stack.Delta(AdapterPlacement::kFfn, 3, input).defined());
 }
 
 TEST(AdapterStack, PlacementRouting) {
@@ -65,10 +65,13 @@ TEST(AdapterStack, PlacementRouting) {
   tensor::Tensor input = tensor::Tensor::Randn({2, 8}, &rng);
   ffn.BeginForward();
   attn.BeginForward();
-  EXPECT_TRUE(ffn.FfnDelta(0, input).defined());
-  EXPECT_FALSE(ffn.AttnDelta(0, input).defined());
-  EXPECT_FALSE(attn.FfnDelta(0, input).defined());
-  EXPECT_TRUE(attn.AttnDelta(0, input).defined());
+  EXPECT_TRUE(ffn.Delta(AdapterPlacement::kFfn, 0, input).defined());
+  EXPECT_FALSE(ffn.Delta(AdapterPlacement::kAttention, 0, input).defined());
+  EXPECT_FALSE(attn.Delta(AdapterPlacement::kFfn, 0, input).defined());
+  EXPECT_TRUE(attn.Delta(AdapterPlacement::kAttention, 0, input).defined());
+  // The off-placement call returns before touching the chain or the gate.
+  EXPECT_EQ(ffn.infusing_scores().size(), 1u);
+  EXPECT_EQ(attn.infusing_scores().size(), 1u);
 }
 
 TEST(AdapterStack, InfusingScoresRecordedPerLayer) {
@@ -77,7 +80,7 @@ TEST(AdapterStack, InfusingScoresRecordedPerLayer) {
   util::Rng rng(4);
   tensor::Tensor input = tensor::Tensor::Randn({2, 8}, &rng);
   for (int layer = 0; layer < 5; ++layer) {
-    (void)stack.FfnDelta(layer, input);
+    (void)stack.Delta(AdapterPlacement::kFfn, layer, input);
   }
   ASSERT_EQ(stack.infusing_scores().size(), 3u);
   EXPECT_EQ(stack.infusing_scores()[0].first, 1);
@@ -98,7 +101,7 @@ TEST(AdapterStack, DefaultClosedGate) {
   stack.BeginForward();
   util::Rng rng(5);
   tensor::Tensor input = tensor::Tensor::Randn({2, 8}, &rng, 0.1f);
-  (void)stack.FfnDelta(0, input);
+  (void)stack.Delta(AdapterPlacement::kFfn, 0, input);
   EXPECT_LT(stack.infusing_scores()[0].second, 0.3f);
 }
 
@@ -113,11 +116,11 @@ TEST(AdapterStack, GateOverride) {
   tensor::Tensor input = tensor::Tensor::Randn({2, 8}, &rng);
   stack.set_gate_override(0.0f);
   stack.BeginForward();
-  tensor::Tensor closed = stack.FfnDelta(0, input);
+  tensor::Tensor closed = stack.Delta(AdapterPlacement::kFfn, 0, input);
   for (float v : closed.vec()) EXPECT_EQ(v, 0.0f);
   stack.set_gate_override(1.0f);
   stack.BeginForward();
-  tensor::Tensor open = stack.FfnDelta(0, input);
+  tensor::Tensor open = stack.Delta(AdapterPlacement::kFfn, 0, input);
   float magnitude = 0.0f;
   for (float v : open.vec()) magnitude += std::fabs(v);
   EXPECT_GT(magnitude, 0.0f);
@@ -132,7 +135,7 @@ TEST(AdapterStack, WithoutInfuserDeltaUngated) {
   stack.BeginForward();
   util::Rng rng(7);
   tensor::Tensor input = tensor::Tensor::Randn({2, 8}, &rng);
-  (void)stack.FfnDelta(0, input);
+  (void)stack.Delta(AdapterPlacement::kFfn, 0, input);
   EXPECT_TRUE(stack.infusing_scores().empty());  // no gate evaluated
 }
 
@@ -154,12 +157,12 @@ TEST(AdapterStack, ChainFlowsAcrossLayers) {
   tensor::Tensor layer1 = tensor::Tensor::Randn({2, 8}, &rng);
 
   stack.BeginForward();
-  (void)stack.FfnDelta(0, layer0_a);
-  tensor::Tensor delta_a = stack.FfnDelta(1, layer1);
+  (void)stack.Delta(AdapterPlacement::kFfn, 0, layer0_a);
+  tensor::Tensor delta_a = stack.Delta(AdapterPlacement::kFfn, 1, layer1);
 
   stack.BeginForward();
-  (void)stack.FfnDelta(0, layer0_b);
-  tensor::Tensor delta_b = stack.FfnDelta(1, layer1);
+  (void)stack.Delta(AdapterPlacement::kFfn, 0, layer0_b);
+  tensor::Tensor delta_b = stack.Delta(AdapterPlacement::kFfn, 1, layer1);
 
   float diff = 0.0f;
   for (size_t i = 0; i < delta_a.size(); ++i) {

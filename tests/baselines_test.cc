@@ -14,6 +14,10 @@
 namespace infuserki::peft {
 namespace {
 
+constexpr model::AdapterAttachment kFfn = model::AdapterAttachment::kFfn;
+constexpr model::AdapterAttachment kAttention =
+    model::AdapterAttachment::kAttention;
+
 model::TransformerConfig TinyConfig(size_t vocab) {
   model::TransformerConfig config;
   config.vocab_size = vocab;
@@ -131,8 +135,9 @@ TEST_F(BaselineFixture, CalinetSingleLayerHook) {
   EXPECT_EQ(calinet.adapted_layer(), 1);
   util::Rng rng(2);
   tensor::Tensor input = tensor::Tensor::Randn({2, 16}, &rng);
-  EXPECT_FALSE(calinet.FfnDelta(0, input).defined());
-  tensor::Tensor delta = calinet.FfnDelta(1, input);
+  EXPECT_FALSE(calinet.Delta(kFfn, 0, input).defined());
+  EXPECT_FALSE(calinet.Delta(kAttention, 1, input).defined());
+  tensor::Tensor delta = calinet.Delta(kFfn, 1, input);
   ASSERT_TRUE(delta.defined());
   // Zero-init values: starts as a no-op.
   for (float v : delta.vec()) EXPECT_EQ(v, 0.0f);
@@ -154,8 +159,9 @@ TEST_F(BaselineFixture, TPatcherPatchesOnLastLayer) {
   EXPECT_GT(patcher.num_patches(), 0u);
   util::Rng rng(3);
   tensor::Tensor input = tensor::Tensor::Randn({2, 16}, &rng);
-  EXPECT_FALSE(patcher.FfnDelta(0, input).defined());
-  EXPECT_TRUE(patcher.FfnDelta(2, input).defined());  // last layer
+  EXPECT_FALSE(patcher.Delta(kFfn, 0, input).defined());
+  EXPECT_FALSE(patcher.Delta(kAttention, 2, input).defined());
+  EXPECT_TRUE(patcher.Delta(kFfn, 2, input).defined());  // last layer
 }
 
 TEST_F(BaselineFixture, FullFinetuneUnfreezesEverything) {

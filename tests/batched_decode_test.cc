@@ -363,7 +363,7 @@ TEST_F(BatchedDecodeTest, PinnedAdapterRowsMatchHookedFullLogits) {
   auto adapter = stack.ExportPositionWise();
   ASSERT_TRUE(adapter.ok()) << adapter.status();
   ForwardOptions stack_forward;
-  stack_forward.ffn_hook = &stack;
+  stack_forward.hook = &stack;
 
   std::vector<int> adapted = RandomTokens(6, 61);
   std::vector<int> base = RandomTokens(4, 62);

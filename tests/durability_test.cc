@@ -257,25 +257,12 @@ TEST(KgTsv, EmptyFileIsDataLoss) {
   std::remove(path.c_str());
 }
 
-TEST(AtomicFile, CommitPublishesAndLeavesNoTemp) {
+TEST(AtomicFile, WritePublishesAndLeavesNoTemp) {
   std::string path = ::testing::TempDir() + "/atomic_commit.txt";
-  util::AtomicFileWriter writer(path);
-  writer.stream() << "hello durable world";
-  ASSERT_TRUE(writer.Commit().ok());
+  ASSERT_TRUE(util::WriteFileAtomic(path, "hello durable world").ok());
   EXPECT_EQ(ReadFile(path), "hello durable world");
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   std::remove(path.c_str());
-}
-
-TEST(AtomicFile, UncommittedWriterLeavesNoTrace) {
-  std::string path = ::testing::TempDir() + "/atomic_abandoned.txt";
-  std::remove(path.c_str());
-  {
-    util::AtomicFileWriter writer(path);
-    writer.stream() << "never published";
-  }
-  EXPECT_FALSE(std::filesystem::exists(path));
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
 TEST(AtomicFile, TransientFaultIsRetried) {

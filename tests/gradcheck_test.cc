@@ -61,12 +61,6 @@ TEST(GradCheck, MatmulNT) {
   ExpectGradientsMatch([&] { return SumAll(MatmulNT(a, b)); }, {a, b});
 }
 
-TEST(GradCheck, Transpose) {
-  Tensor a = RandInput({3, 4}, 14);
-  ExpectGradientsMatch(
-      [&] { return SumAll(Mul(Transpose(a), Transpose(a))); }, {a});
-}
-
 TEST(GradCheck, Reshape) {
   Tensor a = RandInput({2, 6}, 15);
   ExpectGradientsMatch(

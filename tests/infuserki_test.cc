@@ -34,15 +34,13 @@ TEST(InfuserKi, ForwardHookRouting) {
   InfuserKiOptions ffn_options;
   ffn_options.adapters.first_layer = 0;
   InfuserKi ffn_method(&lm, ffn_options);
-  EXPECT_NE(ffn_method.Forward().ffn_hook, nullptr);
-  EXPECT_EQ(ffn_method.Forward().attn_hook, nullptr);
+  EXPECT_EQ(ffn_method.Forward().hook, &ffn_method.stack());
 
   InfuserKiOptions attn_options;
   attn_options.adapters.first_layer = 0;
   attn_options.adapters.placement = AdapterPlacement::kAttention;
   InfuserKi attn_method(&lm, attn_options);
-  EXPECT_EQ(attn_method.Forward().ffn_hook, nullptr);
-  EXPECT_NE(attn_method.Forward().attn_hook, nullptr);
+  EXPECT_EQ(attn_method.Forward().hook, &attn_method.stack());
 }
 
 TEST(InfuserKi, FreshMethodPreservesBaseOutputs) {

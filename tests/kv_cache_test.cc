@@ -230,7 +230,7 @@ TEST_F(KvCacheTest, AdapterHookParity) {
   }
   ASSERT_FALSE(stack.SequenceStateful());
   ForwardOptions options;
-  options.ffn_hook = &stack;
+  options.hook = &stack;
 
   NoGradGuard no_grad;
   std::vector<int> tokens = RandomTokens(14, 29);
@@ -264,7 +264,7 @@ TEST_F(KvCacheTest, AttentionPlacementAdapterParity) {
     }
   }
   ForwardOptions options;
-  options.attn_hook = &stack;
+  options.hook = &stack;
   NoGradGuard no_grad;
   std::vector<int> tokens = RandomTokens(12, 41);
   Tensor full = lm_.Logits(tokens, options);
@@ -368,7 +368,7 @@ TEST_F(KvCacheTest, GatedAdapterRoutesToFullRecompute) {
                                     adapter_options);
   ASSERT_TRUE(stack.SequenceStateful());
   ForwardOptions options;
-  options.ffn_hook = &stack;
+  options.hook = &stack;
   ASSERT_TRUE(HasSequenceStatefulHook(options));
 
   std::vector<int> prompt = RandomTokens(4, 79);
@@ -386,7 +386,7 @@ TEST_F(KvCacheTest, SessionRejectsSequenceStatefulHook) {
                                     lm_.config().num_layers,
                                     adapter_options);
   ForwardOptions options;
-  options.ffn_hook = &stack;
+  options.hook = &stack;
   EXPECT_DEATH(BatchedDecodeSession(lm_, 1, options), "sequence-stateful");
 }
 
@@ -404,11 +404,11 @@ TEST_F(KvCacheTest, CacheTracksPrefixRowsSeparately) {
   options.prefix = &prefix;
   NoGradGuard no_grad;
   std::vector<int> tokens = RandomTokens(5, 89);
-  KvCache cache(lm_.config().num_layers);
+  KvCache cache(lm_.config().num_layers, 1);
   lm_.LogitsBatched({{&tokens, 0}}, &cache, options);
-  EXPECT_EQ(cache.tokens(), size_t{5});
-  EXPECT_EQ(cache.prefix_rows(), size_t{2});
-  EXPECT_EQ(cache.layer(0)->rows(), size_t{7});
+  EXPECT_EQ(cache.tokens(0), size_t{5});
+  EXPECT_EQ(cache.prefix_rows(0), size_t{2});
+  EXPECT_EQ(cache.layer(0, 0)->rows(), size_t{7});
 
   // A snapshot carries the prefix rows, and a restored slot continues
   // exactly where the prefix-tuned full forward does.

@@ -122,18 +122,6 @@ TEST(Module, SetTrainableFreezes) {
   }
 }
 
-TEST(Optimizer, SgdConvergesOnQuadratic) {
-  Tensor x = Tensor::Scalar(5.0f, /*requires_grad=*/true);
-  Sgd sgd({x}, 0.1f);
-  for (int i = 0; i < 100; ++i) {
-    Tensor loss = Mul(x, x);
-    SumAll(loss).Backward();
-    sgd.Step();
-    sgd.ZeroGrad();
-  }
-  EXPECT_NEAR(x.item(), 0.0f, 1e-3f);
-}
-
 TEST(Optimizer, AdamWConvergesOnQuadratic) {
   Tensor x = Tensor::Scalar(5.0f, /*requires_grad=*/true);
   AdamW adam({x}, {.lr = 0.3f, .weight_decay = 0.0f});

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -10,6 +11,16 @@
 
 namespace infuserki::tensor {
 namespace {
+
+/// [m, n] -> [n, m] copy of a constant 2-D tensor (no autograd).
+Tensor Transposed(const Tensor& a) {
+  size_t m = a.dim(0), n = a.dim(1);
+  std::vector<float> out(m * n);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < n; ++j) out[j * m + i] = a.at(i, j);
+  }
+  return Tensor::FromData({n, m}, out);
+}
 
 TEST(Tensor, Creation) {
   Tensor z = Tensor::Zeros({2, 3});
@@ -101,7 +112,7 @@ TEST(Ops, MatmulNTMatchesMatmulTranspose) {
   Tensor a = Tensor::Randn({3, 4}, &rng);
   Tensor b = Tensor::Randn({5, 4}, &rng);
   Tensor nt = MatmulNT(a, b);
-  Tensor reference = Matmul(a, Transpose(b));
+  Tensor reference = Matmul(a, Transposed(b));
   for (size_t i = 0; i < nt.size(); ++i) {
     EXPECT_NEAR(nt.data()[i], reference.data()[i], 1e-5f);
   }
@@ -116,7 +127,7 @@ TEST(Ops, MatmulAndMatmulNTAgreeOnNonFinite) {
   Tensor a = Tensor::FromData({3, 4}, a_values);
   Tensor b = Tensor::FromData({4, 3}, b_values);
   Tensor nn = Matmul(a, b);
-  Tensor nt = MatmulNT(a, Transpose(b));
+  Tensor nt = MatmulNT(a, Transposed(b));
   ASSERT_EQ(nn.shape(), nt.shape());
   EXPECT_EQ(std::memcmp(nn.data(), nt.data(), nn.size() * sizeof(float)), 0);
   EXPECT_TRUE(std::isnan(nn.at(0, 0)));  // 0 * inf

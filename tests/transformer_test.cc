@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "model/generation.h"
 #include "model/transformer.h"
 #include "tensor/ops.h"
@@ -70,39 +73,53 @@ TEST(TransformerLM, TraceRecordsPerLayer) {
   EXPECT_EQ(trace.ffn_inputs[0].shape(), (tensor::Shape{2, 16}));
 }
 
-// An FfnHook that adds a constant and records which layers fired.
-class ProbeHook : public FfnHook {
+// A SublayerHook that adds a constant on `target` and records which
+// (sublayer, layer) points fired.
+class ProbeHook : public SublayerHook {
  public:
   void BeginForward() override { calls.clear(); }
-  tensor::Tensor FfnDelta(int layer,
-                          const tensor::Tensor& ffn_input) override {
-    calls.push_back(layer);
-    return tensor::Tensor::Full(ffn_input.shape(), bump);
+  tensor::Tensor Delta(AdapterAttachment sublayer, int layer,
+                       const tensor::Tensor& input) override {
+    calls.emplace_back(sublayer, layer);
+    if (sublayer != target) return tensor::Tensor();
+    return tensor::Tensor::Full(input.shape(), bump);
   }
-  std::vector<int> calls;
+  std::vector<std::pair<AdapterAttachment, int>> calls;
+  AdapterAttachment target = AdapterAttachment::kFfn;
   float bump = 0.0f;
 };
 
-TEST(TransformerLM, FfnHookCalledPerLayerAndAffectsOutput) {
+TEST(TransformerLM, SublayerHookCalledPerSublayerAndAffectsOutput) {
   util::Rng rng(5);
   TransformerLM lm(TinyConfig(), &rng);
   ProbeHook hook;
   ForwardOptions options;
-  options.ffn_hook = &hook;
+  options.hook = &hook;
   tensor::NoGradGuard no_grad;
   tensor::Tensor base = lm.Hidden({4, 5, 6});
   tensor::Tensor unchanged = lm.Hidden({4, 5, 6}, options);
-  EXPECT_EQ(hook.calls, (std::vector<int>{0, 1, 2}));
+  // Attention first, then FFN, in every layer.
+  std::vector<std::pair<AdapterAttachment, int>> expected;
+  for (int layer = 0; layer < 3; ++layer) {
+    expected.emplace_back(AdapterAttachment::kAttention, layer);
+    expected.emplace_back(AdapterAttachment::kFfn, layer);
+  }
+  EXPECT_EQ(hook.calls, expected);
   for (size_t i = 0; i < base.size(); ++i) {
     EXPECT_NEAR(base.data()[i], unchanged.data()[i], 1e-5f);
   }
   hook.bump = 1.0f;
   tensor::Tensor bumped = lm.Hidden({4, 5, 6}, options);
+  hook.target = AdapterAttachment::kAttention;
+  tensor::Tensor attn_bumped = lm.Hidden({4, 5, 6}, options);
   float diff = 0.0f;
+  float attn_diff = 0.0f;
   for (size_t i = 0; i < base.size(); ++i) {
     diff += std::fabs(base.data()[i] - bumped.data()[i]);
+    attn_diff += std::fabs(bumped.data()[i] - attn_bumped.data()[i]);
   }
   EXPECT_GT(diff, 0.1f);
+  EXPECT_GT(attn_diff, 0.1f);  // the attention-side delta lands elsewhere
 }
 
 TEST(TransformerLM, PrefixChangesOutputs) {

@@ -4,16 +4,16 @@
 Enforces rules the generic tools (clang-tidy, TSan) cannot express because
 they are about *this* repo's conventions:
 
-  raw-io        Durable writes must go through util::AtomicFileWriter /
-                util::WriteFileAtomic / util::BinaryWriter (or the obs
-                layer's WriteFileAtomically). Raw std::ofstream / std::fopen
+  raw-io        Durable writes must go through util::WriteFileAtomic /
+                util::BinaryWriter (or the obs layer's
+                WriteFileAtomically). Raw std::ofstream / std::fopen
                 in src/ is banned outside the files that implement those
                 primitives; escape hatch: a `lint: allow-raw-io(<reason>)`
                 comment on the offending line.
   fault-points  Every fault-point name introduced at a sink (FAULT_POINT,
-                fault_point defaults, BinaryWriter / AtomicFileWriter /
-                WriteFileAtomic string args) must be documented in DESIGN.md
-                and introduced from exactly one file.
+                fault_point defaults, BinaryWriter / WriteFileAtomic string
+                args) must be documented in DESIGN.md and introduced from
+                exactly one file.
   metric-names  Every obs metric name literal (GetCounter / GetGauge /
                 GetHistogram) in src/ or bench/ must appear in the DESIGN.md
                 "Observability" section's metric table (trailing-`*` globs
@@ -92,7 +92,7 @@ FAULT_SINKS = (
 # argument list and take its *last* string literal (the first may be a
 # literal path or payload).
 FAULT_TRAILING_SINKS = re.compile(
-    r'(?:BinaryWriter|AtomicFileWriter)\s+\w+\s*\(([^;]*)\)'
+    r'BinaryWriter\s+\w+\s*\(([^;]*)\)'
     r'|WriteFileAtomic\(([^;]*)\)')
 STRING_LITERAL = re.compile(r'"([^"]+)"')
 
@@ -190,7 +190,7 @@ def check_raw_io(root, violations):
                 violations.append(Violation(
                     rel, i, "raw-io",
                     "raw file write; route durable artifacts through "
-                    "util::AtomicFileWriter / WriteFileAtomic / BinaryWriter "
+                    "util::WriteFileAtomic / BinaryWriter "
                     "(or annotate: lint: allow-raw-io(<reason>))"))
 
 

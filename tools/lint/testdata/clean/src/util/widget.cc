@@ -7,6 +7,6 @@
 // 79 code points, over 79 bytes: ———————————————————— zzzzzzzzzzzzzzzzzzzzzzzz
 int Widget() {
   infuserki::obs::Registry::Get().GetCounter("widget/turns")->Increment();
-  infuserki::util::AtomicFileWriter writer("/tmp/w", "widget/save");
+  (void)infuserki::util::WriteFileAtomic("/tmp/w", "w", "widget/save");
   return FAULT_POINT("widget/step").ok() ? 0 : 1;
 }
