@@ -3,7 +3,8 @@
 #
 #   scripts/check_build.sh [build_dir]
 #
-# 1. Configures + builds the default (Release) tree and runs the full test
+# 1. Configures + builds the default (Release) tree with warnings as errors
+#    (CMAKE_COMPILE_WARNING_AS_ERROR, CMake >= 3.24) and runs the full test
 #    suite — the same gate CI applies.
 # 2. Builds bench_micro_tensor under RelWithDebInfo and runs one benchmark
 #    with --metrics_out, asserting the run manifest is non-empty valid JSON.
@@ -66,7 +67,7 @@ BUILD_DIR="${1:-build}"
 SMOKE_DIR="${BUILD_DIR}-relwithdebinfo"
 
 echo "== tier-1: configure + build + ctest (${BUILD_DIR}) =="
-cmake -B "$BUILD_DIR" -S .
+cmake -B "$BUILD_DIR" -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "$BUILD_DIR" -j
 (cd "$BUILD_DIR" && ctest --output-on-failure -j)
 

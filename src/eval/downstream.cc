@@ -93,70 +93,6 @@ std::vector<OneHopItem> Build1HopTask(const kg::KnowledgeGraph& kg,
   return items;
 }
 
-std::vector<TwoHopItem> Build2HopTask(const kg::KnowledgeGraph& kg,
-                                      size_t max_items,
-                                      size_t max_candidates,
-                                      util::Rng* rng) {
-  CHECK_GE(max_candidates, size_t{2});
-  // Index triplets by head for the second hop.
-  std::vector<TwoHopItem> items;
-  const std::vector<kg::Triplet>& triplets = kg.triplets();
-  for (size_t first = 0;
-       first < triplets.size() && items.size() < max_items; ++first) {
-    const kg::Triplet& hop1 = triplets[first];
-    if (hop1.tail == hop1.head) continue;
-    for (size_t second = 0;
-         second < triplets.size() && items.size() < max_items; ++second) {
-      const kg::Triplet& hop2 = triplets[second];
-      if (hop2.head != hop1.tail) continue;
-      if (hop2.relation == hop1.relation) continue;
-      if (hop2.tail == hop1.head) continue;
-      TwoHopItem item;
-      item.first_triplet = first;
-      item.second_triplet = second;
-      // Compositional phrasing: the bridge entity is referred to through
-      // hop 1 ("the <r1> of X") instead of by name.
-      item.prompt = "question : what is the " +
-                    kg.relation(hop2.relation).surface + " of the " +
-                    kg.relation(hop1.relation).surface + " of " +
-                    kg.entity(hop1.head).name + " ? answer :";
-      std::vector<int> pool;
-      for (int id : kg.TailPool(hop2.relation)) {
-        if (id != hop2.tail) pool.push_back(id);
-      }
-      if (pool.empty()) continue;
-      rng->Shuffle(&pool);
-      if (pool.size() > max_candidates - 1) {
-        pool.resize(max_candidates - 1);
-      }
-      pool.push_back(hop2.tail);
-      rng->Shuffle(&pool);
-      for (size_t i = 0; i < pool.size(); ++i) {
-        item.candidates.push_back(kg.entity(pool[i]).name);
-        if (pool[i] == hop2.tail) item.gold = static_cast<int>(i);
-      }
-      items.push_back(std::move(item));
-    }
-  }
-  return items;
-}
-
-double Evaluate2HopTask(const model::TransformerLM& lm,
-                        const text::Tokenizer& tokenizer,
-                        const std::vector<TwoHopItem>& items,
-                        const model::ForwardOptions& options) {
-  CHECK(!items.empty());
-  std::vector<int> predictions(items.size());
-  std::vector<int> labels(items.size());
-  model::ForEachIndependentForward(items.size(), options, [&](size_t i) {
-    model::OptionScores scores = model::ScoreOptions(
-        lm, tokenizer, items[i].prompt, items[i].candidates, options);
-    predictions[i] = scores.best;
-    labels[i] = items[i].gold;
-  });
-  return Accuracy(predictions, labels);
-}
-
 double Evaluate1HopTask(const model::TransformerLM& lm,
                         const text::Tokenizer& tokenizer,
                         const std::vector<OneHopItem>& items,

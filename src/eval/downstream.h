@@ -56,33 +56,6 @@ double Evaluate1HopTask(const model::TransformerLM& lm,
                         const std::vector<OneHopItem>& items,
                         const model::ForwardOptions& options = {});
 
-/// A compositional two-hop item (MetaQA's 2-hop category, which the paper
-/// leaves to future evaluation): the bridge entity is the unique tail of
-/// (head, first_relation), and the answer is the tail of
-/// (bridge, second_relation). Example: "what is the genre of the movie
-/// whose director is X?" Reuses OneHopItem's candidate-scoring shape.
-struct TwoHopItem {
-  size_t first_triplet = 0;   // (head, r1, bridge)
-  size_t second_triplet = 0;  // (bridge, r2, answer)
-  std::string prompt;
-  std::vector<std::string> candidates;
-  int gold = 0;
-};
-
-/// Enumerates 2-hop chains (a, r1, b), (b, r2, c) with a != b, b != c and
-/// r1 != r2, phrases them compositionally, and attaches a candidate pool
-/// from r2's tails. At most `max_items` items are produced.
-std::vector<TwoHopItem> Build2HopTask(const kg::KnowledgeGraph& kg,
-                                      size_t max_items,
-                                      size_t max_candidates,
-                                      util::Rng* rng);
-
-/// Scores the 2-hop task by candidate likelihood; returns accuracy.
-double Evaluate2HopTask(const model::TransformerLM& lm,
-                        const text::Tokenizer& tokenizer,
-                        const std::vector<TwoHopItem>& items,
-                        const model::ForwardOptions& options = {});
-
 }  // namespace infuserki::eval
 
 #endif  // INFUSERKI_EVAL_DOWNSTREAM_H_

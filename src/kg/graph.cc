@@ -65,34 +65,10 @@ const Relation& KnowledgeGraph::relation(int id) const {
   return relations_[static_cast<size_t>(id)];
 }
 
-int KnowledgeGraph::FindEntity(const std::string& name) const {
-  auto it = entity_by_name_.find(name);
-  return it == entity_by_name_.end() ? -1 : it->second;
-}
-
-int KnowledgeGraph::FindRelation(const std::string& name) const {
-  auto it = relation_by_name_.find(name);
-  return it == relation_by_name_.end() ? -1 : it->second;
-}
-
-int KnowledgeGraph::TailOf(int head, int relation) const {
-  int64_t key = static_cast<int64_t>(head) * kKeyStride + relation;
-  auto it = tail_by_head_rel_.find(key);
-  return it == tail_by_head_rel_.end() ? -1 : it->second;
-}
-
 const std::vector<int>& KnowledgeGraph::TailPool(int relation) const {
   CHECK_GE(relation, 0);
   CHECK_LT(static_cast<size_t>(relation), tail_pools_.size());
   return tail_pools_[static_cast<size_t>(relation)];
-}
-
-std::vector<Triplet> KnowledgeGraph::TripletsWithHead(int head) const {
-  std::vector<Triplet> out;
-  for (const Triplet& t : triplets_) {
-    if (t.head == head) out.push_back(t);
-  }
-  return out;
 }
 
 }  // namespace infuserki::kg

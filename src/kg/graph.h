@@ -40,11 +40,6 @@ struct Triplet {
 /// sampling.
 class KnowledgeGraph {
  public:
-  /// Ceiling on entity/relation ids imposed by the packed (head, relation)
-  /// lookup key. Loaders must reject inputs that would cross it — ids at or
-  /// above the stride would silently collide in the unique-tail index.
-  static constexpr int64_t kMaxEntities = 1 << 20;
-
   KnowledgeGraph() = default;
 
   /// Adds (or finds) an entity by name; returns its id.
@@ -66,21 +61,9 @@ class KnowledgeGraph {
   size_t num_relations() const { return relations_.size(); }
   size_t num_triplets() const { return triplets_.size(); }
 
-  /// Entity id by exact name, or -1.
-  int FindEntity(const std::string& name) const;
-
-  /// Relation id by name, or -1.
-  int FindRelation(const std::string& name) const;
-
-  /// The unique tail for (head, relation), or -1 when absent.
-  int TailOf(int head, int relation) const;
-
   /// All distinct entities appearing as tails of `relation` — the type-
   /// plausible distractor pool for that relation's questions.
   const std::vector<int>& TailPool(int relation) const;
-
-  /// All triplets with the given head (used by the 1-hop downstream task).
-  std::vector<Triplet> TripletsWithHead(int head) const;
 
  private:
   std::vector<Entity> entities_;
@@ -93,6 +76,9 @@ class KnowledgeGraph {
   std::vector<std::vector<int>> tail_pools_;        // by relation id
   std::vector<std::vector<char>> tail_pool_seen_;   // membership bitmap
 
+  // Ceiling on entity/relation ids imposed by the packed (head, relation)
+  // key: ids at or above the stride would collide in the unique-tail index.
+  static constexpr int64_t kMaxEntities = 1 << 20;
   static constexpr int64_t kKeyStride = kMaxEntities;
 };
 

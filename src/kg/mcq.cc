@@ -119,12 +119,6 @@ std::string FormatQuestionPrompt(const Mcq& mcq) {
   return "question : " + mcq.question + " answer :";
 }
 
-std::string FormatInstructionPrompt(const std::string& instruction) {
-  return "below is an instruction that describes a task . write a response "
-         "that appropriately completes the request . ### instruction : " +
-         instruction + " ### response :";
-}
-
 std::string McqGoldResponse(const Mcq& mcq) {
   return mcq.options[static_cast<size_t>(mcq.correct)];
 }

@@ -55,11 +55,6 @@ std::string FormatMcqPrompt(const Mcq& mcq);
 /// question -> answer mapping (see DESIGN.md substitution notes).
 std::string FormatQuestionPrompt(const Mcq& mcq);
 
-/// Alpaca-style instruction wrapper from Table 6 of the paper. Used by the
-/// paper-faithful prompt path; the compact format is the default at
-/// simulator scale.
-std::string FormatInstructionPrompt(const std::string& instruction);
-
 /// The gold response text for an MCQ: "( <letter> ) <answer text>".
 std::string McqGoldResponse(const Mcq& mcq);
 

@@ -138,7 +138,8 @@ std::string UniqueMovieName(std::unordered_set<std::string>* used,
         std::string("the ") + Pick(kMovieAdj, rng) + " " +
         Pick(kMovieNoun, rng);
     if (rng->Bernoulli(0.2)) {
-      name += " " + std::to_string(rng->UniformInt(2, 4));  // sequels
+      name += ' ';
+      name += std::to_string(rng->UniformInt(2, 4));  // sequels
     }
     if (used->insert(name).second) return name;
   }
@@ -229,11 +230,7 @@ KnowledgeGraph SyntheticUmls(const SynthOptions& options) {
     size_t r = static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(kNumRelations) - 1));
     int head = rng.Choice(heads);
-    // Concept-to-concept edges create 2-hop chains when enabled.
-    bool chain_edge = options.chain_fraction > 0.0 &&
-                      rng.Bernoulli(options.chain_fraction);
-    int tail = chain_edge ? rng.Choice(heads) : rng.Choice(tails[r]);
-    if (tail == head) continue;
+    int tail = rng.Choice(tails[r]);
     if (kg.AddTriplet(head, relation_ids[r], tail).ok()) ++added;
   }
   CHECK_EQ(added, options.num_triplets)

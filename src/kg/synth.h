@@ -11,12 +11,6 @@ namespace infuserki::kg {
 struct SynthOptions {
   size_t num_triplets = 2500;
   uint64_t seed = 17;
-
-  /// Fraction of UMLS triplets whose tail is drawn from the concept (head)
-  /// pool instead of the relation's typed tail pool, creating
-  /// concept-to-concept edges and hence multi-hop chains (used by the
-  /// 2-hop QA extension). 0 keeps the graph strictly bipartite.
-  double chain_fraction = 0.0;
 };
 
 /// Synthetic stand-in for the UMLS medical KG sample used by the paper

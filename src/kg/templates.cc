@@ -84,11 +84,6 @@ RelationTemplates TemplateEngine::Generate(const Relation& relation) {
   return out;
 }
 
-void TemplateEngine::SetTemplates(int relation_id,
-                                  RelationTemplates templates) {
-  cache_[relation_id] = std::move(templates);
-}
-
 const RelationTemplates& TemplateEngine::For(const Relation& relation) const {
   auto it = cache_.find(relation.id);
   if (it == cache_.end()) {

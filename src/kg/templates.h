@@ -38,9 +38,6 @@ class TemplateEngine {
   /// and surface).
   static RelationTemplates Generate(const Relation& relation);
 
-  /// Installs custom templates for one relation (tests / curated domains).
-  void SetTemplates(int relation_id, RelationTemplates templates);
-
   /// Templates for `relation`, generated and memoized on first use.
   const RelationTemplates& For(const Relation& relation) const;
 

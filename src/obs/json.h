@@ -45,6 +45,14 @@ inline std::string JsonEscape(const std::string& text) {
   return out;
 }
 
+/// `text` as a JSON string literal: escaped, in double quotes.
+inline std::string JsonQuote(const std::string& text) {
+  std::string out = "\"";
+  out += JsonEscape(text);
+  out += '"';
+  return out;
+}
+
 /// Formats a double as a JSON number. NaN/infinity (not representable in
 /// JSON) become null.
 inline std::string JsonNumber(double value) {
@@ -60,7 +68,7 @@ inline std::string JsonNumber(double value) {
 class JsonWriter {
  public:
   JsonWriter& AddString(const std::string& key, const std::string& value) {
-    return AddRaw(key, "\"" + JsonEscape(value) + "\"");
+    return AddRaw(key, JsonQuote(value));
   }
   JsonWriter& AddNumber(const std::string& key, double value) {
     return AddRaw(key, JsonNumber(value));
@@ -76,7 +84,9 @@ class JsonWriter {
   }
   JsonWriter& AddRaw(const std::string& key, const std::string& json) {
     if (!body_.empty()) body_ += ",";
-    body_ += "\"" + JsonEscape(key) + "\":" + json;
+    body_ += JsonQuote(key);
+    body_ += ':';
+    body_ += json;
     return *this;
   }
 

@@ -35,7 +35,7 @@ RunManifest::RunManifest(std::string bench_name)
 
 void RunManifest::AddConfig(const std::string& key,
                             const std::string& value) {
-  config_.emplace_back(key, "\"" + JsonEscape(value) + "\"");
+  config_.emplace_back(key, JsonQuote(value));
 }
 
 void RunManifest::AddConfig(const std::string& key, int64_t value) {
@@ -62,7 +62,7 @@ std::string RunManifest::ToJson() const {
   std::string lineage = "[";
   for (const std::string& event : Lineage::Get().Snapshot()) {
     if (lineage.size() > 1) lineage += ",";
-    lineage += "\"" + JsonEscape(event) + "\"";
+    lineage += JsonQuote(event);
   }
   lineage += "]";
   JsonWriter out;

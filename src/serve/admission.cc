@@ -16,18 +16,6 @@ constexpr double kRequestCost = 1.0;
 
 }  // namespace
 
-const char* PriorityName(Priority priority) {
-  switch (priority) {
-    case Priority::kHigh:
-      return "high";
-    case Priority::kNormal:
-      return "normal";
-    case Priority::kLow:
-      return "low";
-  }
-  return "unknown";
-}
-
 const char* ShedReasonName(ShedReason reason) {
   switch (reason) {
     case ShedReason::kNone:

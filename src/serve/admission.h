@@ -24,9 +24,6 @@ enum class Priority : int {
 };
 inline constexpr int kPriorityTiers = 3;
 
-/// Human-readable tier name ("high" / "normal" / "low").
-const char* PriorityName(Priority priority);
-
 /// Per-tenant admission policy. The defaults are permissive: weight 1 (an
 /// equal WDRR share), no per-tenant queue cap, no rate limit.
 struct TenantPolicy {

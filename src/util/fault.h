@@ -38,7 +38,7 @@ constexpr int kFaultCrashExitCode = 42;
 ///               Nth hit — models a hard crash / preemption
 ///   off         remove any fault armed on the point
 ///
-/// Example: INFUSERKI_FAULTS="trainer/step=crash@60;kg/save=fail@1"
+/// Example: INFUSERKI_FAULTS="trainer/step=crash@60;ckpt/write=fail@1"
 ///
 /// Injected failures carry StatusCode::kInternal (the transient class the
 /// retry helpers act on). All bookkeeping is mutex-guarded; failpoints live

@@ -43,7 +43,6 @@ class BinaryWriter {
 
   void WriteU32(uint32_t v) { WriteRaw(&v, sizeof(v)); }
   void WriteU64(uint64_t v) { WriteRaw(&v, sizeof(v)); }
-  void WriteF32(float v) { WriteRaw(&v, sizeof(v)); }
 
   void WriteString(const std::string& s) {
     WriteU64(s.size());
@@ -90,11 +89,6 @@ class BinaryReader {
   }
   uint64_t ReadU64() {
     uint64_t v = 0;
-    ReadRaw(&v, sizeof(v));
-    return v;
-  }
-  float ReadF32() {
-    float v = 0;
     ReadRaw(&v, sizeof(v));
     return v;
   }

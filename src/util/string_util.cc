@@ -19,19 +19,6 @@ std::vector<std::string> Split(std::string_view text,
   return pieces;
 }
 
-std::string Join(const std::vector<std::string>& pieces,
-                 std::string_view sep) {
-  size_t length = pieces.empty() ? 0 : (pieces.size() - 1) * sep.size();
-  for (const std::string& piece : pieces) length += piece.size();
-  std::string out;
-  out.reserve(length);
-  for (size_t i = 0; i < pieces.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(pieces[i]);
-  }
-  return out;
-}
-
 std::string ToLower(std::string_view text) {
   std::string out(text);
   std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
@@ -57,11 +44,6 @@ std::string Trim(std::string_view text) {
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
 }
 
 std::string ReplaceAll(std::string_view text, std::string_view from,
@@ -144,11 +126,6 @@ size_t EditDistanceFrom::To(std::string_view text) const {
     mv = ph & xv;
   }
   return score;
-}
-
-size_t EditDistance(std::string_view a, std::string_view b) {
-  return a.size() <= b.size() ? EditDistanceFrom(a).To(b)
-                              : EditDistanceFrom(b).To(a);
 }
 
 std::string FormatFloat(double value, int precision) {

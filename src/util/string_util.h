@@ -14,10 +14,6 @@ namespace infuserki::util {
 std::vector<std::string> Split(std::string_view text,
                                std::string_view delims = " ");
 
-/// Joins `pieces` with `sep`.
-std::string Join(const std::vector<std::string>& pieces,
-                 std::string_view sep);
-
 /// ASCII lower-casing.
 std::string ToLower(std::string_view text);
 
@@ -25,7 +21,6 @@ std::string ToLower(std::string_view text);
 std::string Trim(std::string_view text);
 
 bool StartsWith(std::string_view text, std::string_view prefix);
-bool EndsWith(std::string_view text, std::string_view suffix);
 
 /// Replaces every occurrence of `from` (non-empty) with `to`.
 std::string ReplaceAll(std::string_view text, std::string_view from,
@@ -50,10 +45,6 @@ class EditDistanceFrom {
   std::string_view pattern_;
   std::array<uint64_t, 256> match_{};  // bit i: pattern_[i] == byte
 };
-
-/// Levenshtein distance (unit costs); EditDistanceFrom(a).To(b) with the
-/// shorter string as the pattern.
-size_t EditDistance(std::string_view a, std::string_view b);
 
 /// Formats a double with fixed precision, e.g. FormatFloat(0.987, 2) ==
 /// "0.99".

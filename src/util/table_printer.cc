@@ -12,7 +12,11 @@ namespace {
 
 std::string CsvEscape(const std::string& cell) {
   if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  return "\"" + ReplaceAll(cell, "\"", "\"\"") + "\"";
+  std::string escaped = ReplaceAll(cell, "\"", "\"\"");
+  std::string quoted;
+  quoted.reserve(escaped.size() + 2);
+  quoted.append(1, '"').append(escaped).append(1, '"');
+  return quoted;
 }
 
 }  // namespace

@@ -260,9 +260,6 @@ TEST(AdmissionControllerTest, AnonymousTenantBucketsAsDefault) {
 }
 
 TEST(AdmissionControllerTest, NameHelpers) {
-  EXPECT_STREQ(PriorityName(Priority::kHigh), "high");
-  EXPECT_STREQ(PriorityName(Priority::kNormal), "normal");
-  EXPECT_STREQ(PriorityName(Priority::kLow), "low");
   EXPECT_STREQ(ShedReasonName(ShedReason::kQueueFull), "queue_full");
   EXPECT_STREQ(ShedReasonName(ShedReason::kTenantCap), "tenant_cap");
   EXPECT_STREQ(ShedReasonName(ShedReason::kRateLimited), "rate_limited");

@@ -35,12 +35,10 @@ TEST(KnowledgeGraph, AddAndLookup) {
   KnowledgeGraph kg = TinyGraph();
   EXPECT_EQ(kg.num_triplets(), 3u);
   EXPECT_EQ(kg.num_relations(), 1u);
-  int aspirin = kg.FindEntity("aspirin");
-  ASSERT_GE(aspirin, 0);
-  int treats = kg.FindRelation("treats");
-  EXPECT_EQ(kg.TailOf(aspirin, treats), kg.FindEntity("headache"));
-  EXPECT_EQ(kg.FindEntity("missing"), -1);
-  EXPECT_EQ(kg.FindRelation("missing"), -1);
+  const Triplet& first = kg.triplets()[0];
+  EXPECT_EQ(kg.entity(first.head).name, "aspirin");
+  EXPECT_EQ(kg.relation(first.relation).name, "treats");
+  EXPECT_EQ(kg.entity(first.tail).name, "headache");
 }
 
 TEST(KnowledgeGraph, AddEntityIdempotent) {
@@ -73,22 +71,9 @@ TEST(KnowledgeGraph, BoundsChecked) {
 
 TEST(KnowledgeGraph, TailPool) {
   KnowledgeGraph kg = TinyGraph();
-  int treats = kg.FindRelation("treats");
+  int treats = kg.AddRelation("treats", "treatment target");
   const std::vector<int>& pool = kg.TailPool(treats);
   EXPECT_EQ(pool.size(), 3u);
-}
-
-TEST(KnowledgeGraph, TripletsWithHead) {
-  KnowledgeGraph kg;
-  int r1 = kg.AddRelation("r1", "r1");
-  int r2 = kg.AddRelation("r2", "r2");
-  int a = kg.AddEntity("a");
-  int b = kg.AddEntity("b");
-  ASSERT_TRUE(kg.AddTriplet(a, r1, b).ok());
-  ASSERT_TRUE(kg.AddTriplet(a, r2, b).ok());
-  ASSERT_TRUE(kg.AddTriplet(b, r1, a).ok());
-  EXPECT_EQ(kg.TripletsWithHead(a).size(), 2u);
-  EXPECT_EQ(kg.TripletsWithHead(b).size(), 1u);
 }
 
 TEST(Templates, FiveDistinctQuestionForms) {
@@ -115,22 +100,10 @@ TEST(Templates, StatementContainsBothEntities) {
 TEST(Templates, YesNoOverride) {
   KnowledgeGraph kg = TinyGraph();
   TemplateEngine engine;
-  int fever = kg.FindEntity("fever");
+  int fever = kg.AddEntity("fever");
   std::string fake = engine.YesNoQuestion(kg, kg.triplets()[0], fever);
   EXPECT_NE(fake.find("fever"), std::string::npos);
   EXPECT_EQ(fake.find("headache"), std::string::npos);
-}
-
-TEST(Templates, CustomOverrideRespected) {
-  KnowledgeGraph kg = TinyGraph();
-  TemplateEngine engine;
-  RelationTemplates custom;
-  custom.qa = {"q1 [S]", "q2 [S]", "q3 [S]", "q4 [S]", "q5 [S]"};
-  custom.yes_no = "is it [O] for [S] ?";
-  custom.statement = "[S] -> [O]";
-  engine.SetTemplates(kg.FindRelation("treats"), custom);
-  EXPECT_EQ(engine.Question(kg, kg.triplets()[0], 1), "q1 aspirin");
-  EXPECT_EQ(engine.Statement(kg, kg.triplets()[0]), "aspirin -> headache");
 }
 
 TEST(Mcq, GoldAmongOptionsAndUnique) {
@@ -180,13 +153,6 @@ TEST(Mcq, BuildAllPromptsArePinned) {
   }
 }
 
-TEST(Mcq, InstructionWrapper) {
-  std::string prompt = FormatInstructionPrompt("do the thing");
-  EXPECT_NE(prompt.find("### instruction : do the thing"),
-            std::string::npos);
-  EXPECT_NE(prompt.find("### response :"), std::string::npos);
-}
-
 TEST(Synth, UmlsSizes) {
   KnowledgeGraph kg = SyntheticUmls({.num_triplets = 120, .seed = 3});
   EXPECT_EQ(kg.num_triplets(), 120u);
@@ -207,8 +173,12 @@ TEST(Synth, MetaQaNineRelations) {
   KnowledgeGraph kg = SyntheticMetaQa({.num_triplets = 90, .seed = 4});
   EXPECT_EQ(kg.num_triplets(), 90u);
   EXPECT_EQ(kg.num_relations(), 9u);
-  EXPECT_GE(kg.FindRelation("directed_by"), 0);
-  EXPECT_GE(kg.FindRelation("has_imdb_votes"), 0);
+  std::set<std::string> names;
+  for (size_t r = 0; r < kg.num_relations(); ++r) {
+    names.insert(kg.relation(static_cast<int>(r)).name);
+  }
+  EXPECT_EQ(names.count("directed_by"), 1u);
+  EXPECT_EQ(names.count("has_imdb_votes"), 1u);
 }
 
 TEST(Synth, UniqueHeadRelationPairs) {

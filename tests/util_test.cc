@@ -21,12 +21,6 @@ TEST(Split, Basic) {
   EXPECT_EQ(Split("a,b;c", ",;"), (std::vector<std::string>{"a", "b", "c"}));
 }
 
-TEST(Join, Basic) {
-  EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(Join({}, ","), "");
-  EXPECT_EQ(Join({"only"}, ","), "only");
-}
-
 TEST(ToLower, Basic) {
   EXPECT_EQ(ToLower("AbC 12x"), "abc 12x");
 }
@@ -37,11 +31,9 @@ TEST(Trim, Basic) {
   EXPECT_EQ(Trim("   "), "");
 }
 
-TEST(StartsEndsWith, Basic) {
+TEST(StartsWith, Basic) {
   EXPECT_TRUE(StartsWith("foobar", "foo"));
   EXPECT_FALSE(StartsWith("fo", "foo"));
-  EXPECT_TRUE(EndsWith("foobar", "bar"));
-  EXPECT_FALSE(EndsWith("ar", "bar"));
 }
 
 TEST(ReplaceAll, Basic) {
@@ -51,20 +43,20 @@ TEST(ReplaceAll, Basic) {
 }
 
 TEST(EditDistance, KnownValues) {
-  EXPECT_EQ(EditDistance("", ""), 0u);
-  EXPECT_EQ(EditDistance("abc", "abc"), 0u);
-  EXPECT_EQ(EditDistance("kitten", "sitting"), 3u);
-  EXPECT_EQ(EditDistance("abc", ""), 3u);
-  EXPECT_EQ(EditDistance("", "xyz"), 3u);
-  EXPECT_EQ(EditDistance("flaw", "lawn"), 2u);
+  EXPECT_EQ(EditDistanceFrom("").To(""), 0u);
+  EXPECT_EQ(EditDistanceFrom("abc").To("abc"), 0u);
+  EXPECT_EQ(EditDistanceFrom("kitten").To("sitting"), 3u);
+  EXPECT_EQ(EditDistanceFrom("abc").To(""), 3u);
+  EXPECT_EQ(EditDistanceFrom("").To("xyz"), 3u);
+  EXPECT_EQ(EditDistanceFrom("flaw").To("lawn"), 2u);
 }
 
 TEST(EditDistance, Symmetry) {
-  EXPECT_EQ(EditDistance("cardio", "cardigan"),
-            EditDistance("cardigan", "cardio"));
+  EXPECT_EQ(EditDistanceFrom("cardio").To("cardigan"),
+            EditDistanceFrom("cardigan").To("cardio"));
 }
 
-// The two-row dynamic program EditDistance ran before the bit-vector
+// The two-row dynamic program the edit distance used before the bit-vector
 // kernel, kept as the oracle.
 size_t ReferenceEditDistance(std::string_view a, std::string_view b) {
   if (a.size() < b.size()) std::swap(a, b);
@@ -120,8 +112,6 @@ std::string Mutate(Rng* rng, std::string text, int alphabet) {
 
 void ExpectMatchesReference(const std::string& a, const std::string& b) {
   size_t want = ReferenceEditDistance(a, b);
-  ASSERT_EQ(EditDistance(a, b), want) << a.size() << " x " << b.size();
-  ASSERT_EQ(EditDistance(b, a), want) << b.size() << " x " << a.size();
   ASSERT_EQ(EditDistanceFrom(a).To(b), want) << a.size() << " x " << b.size();
   ASSERT_EQ(EditDistanceFrom(b).To(a), want) << b.size() << " x " << a.size();
 }
@@ -151,11 +141,13 @@ TEST(EditDistance, MatchesDynamicProgramOnRandomBytes) {
 
 TEST(EditDistance, HighAndNulBytes) {
   const std::string nul_led("\0ab\xff\x80", 5);
-  EXPECT_EQ(EditDistance(nul_led, std::string("ab\xff\x80", 4)), 1u);
-  EXPECT_EQ(EditDistance(nul_led, std::string("\0ab\x7f\x80", 5)), 1u);
-  EXPECT_EQ(EditDistance(std::string(64, '\xff'), std::string(65, '\xff')),
+  EXPECT_EQ(EditDistanceFrom(nul_led).To(std::string("ab\xff\x80", 4)), 1u);
+  EXPECT_EQ(EditDistanceFrom(nul_led).To(std::string("\0ab\x7f\x80", 5)),
             1u);
-  EXPECT_EQ(EditDistance(std::string(64, '\0'), ""), 64u);
+  EXPECT_EQ(
+      EditDistanceFrom(std::string(64, '\xff')).To(std::string(65, '\xff')),
+      1u);
+  EXPECT_EQ(EditDistanceFrom(std::string(64, '\0')).To(""), 64u);
 }
 
 TEST(EditDistanceFrom, OnePatternManyTexts) {
